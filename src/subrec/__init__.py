@@ -69,7 +69,6 @@ from .weighting import (
     angle_weight,
     angles_to_weights,
     build_weight_operator,
-    invert,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "estimate_rip",
     "generate_instance",
     "identify_support",
-    "invert",
     "least_squares_on_support",
     "load_scenario",
     "make_completion",

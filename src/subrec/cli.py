@@ -119,6 +119,8 @@ def _cmd_recover(args):
 def _recover_from_file(args):
     try:
         matrix = bench.read_matrix_csv(args.matrix)
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"matrix file {args.matrix} contains NaN or Inf entries")
         if args.rank is None:
             raise ValueError("--rank is required with --matrix")
         n_rows, n_cols = matrix.shape

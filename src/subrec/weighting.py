@@ -165,11 +165,6 @@ def _weighted_complement_directions(prior, reference, rng):
     return complement @ np.linalg.qr(g)[0]
 
 
-def invert(op):
-    """Inverse of the weighting operator (same eigenvectors, reciprocal weights)."""
-    return op.q_inv
-
-
 def angle_weight(theta_deg):
     """Default heuristic mapping an angle in degrees to a weight in (0, 1]."""
     return np.clip(0.1 + 0.8 * (np.asarray(theta_deg, dtype=float) / 90.0), 0.1, 1.0)

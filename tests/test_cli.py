@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from subrec import bench
 from subrec.cli import main
@@ -108,6 +109,17 @@ def test_recover_matrix_errors(tmp_path, capsys):
     bench.write_matrix_csv(rng.standard_normal((4, 6)), rect)
     assert main(["recover", "--matrix", str(rect), "--rank", "1"]) == 1
     assert main(["recover", "--matrix", str(path), "--rank", "1", "--theta-u", "95"]) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_recover_matrix_non_finite_entry(tmp_path, capsys, bad):
+    matrix = np.random.default_rng(2).standard_normal((6, 6))
+    matrix[2, 3] = bad
+    path = tmp_path / "matrix.csv"
+    bench.write_matrix_csv(matrix, path)
+    assert main(["recover", "--matrix", str(path), "--rank", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("subrec recover: ") and "NaN or Inf" in err
 
 
 def test_rip_command(tmp_path, capsys):

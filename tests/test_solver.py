@@ -1,23 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrec.linalg import random_orthonormal, svd
 from subrec.operators import (
+    COMPLETION,
+    GAUSSIAN,
+    MeasurementOperator,
     WeightedOperator,
     estimate_rip,
+    make_completion,
     make_gaussian,
     make_identity_sensing,
+    random_low_rank,
 )
 from subrec.solver import (
     SolverConfig,
     Support,
     admira,
     identify_support,
+    GRAM_DIAG_RATIO_MIN,
     least_squares_on_support,
     merge_support,
     solve,
 )
 from subrec.weighting import WeightSpec, build_weight_operator
+
+
+def _ls_estimate(op, y, sup):
+    """The matrix U M V^T of least_squares_on_support's coefficient block M."""
+    coef, _ = least_squares_on_support(op, y, sup)
+    return sup.left @ coef @ sup.right.T
 
 
 def test_identify_support_diagonal():
@@ -83,7 +97,7 @@ def test_least_squares_zero_measurements():
     rng = np.random.default_rng(4)
     op = make_gaussian(6, 12, 5)
     sup = Support(random_orthonormal(6, 2, rng), random_orthonormal(6, 2, rng))
-    out = least_squares_on_support(op, np.zeros(12), sup)
+    out = _ls_estimate(op, np.zeros(12), sup)
     assert np.allclose(out, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         least_squares_on_support(op, np.zeros(12), Support.empty(6, 6))
@@ -99,7 +113,7 @@ def test_least_squares_recovers_truth_in_span():
     m = rng.standard_normal((2, 2))
     truth = sup.left @ m @ sup.right.T
     y = wop.apply(truth)
-    out = least_squares_on_support(wop, y, sup)
+    out = _ls_estimate(wop, y, sup)
     assert np.linalg.norm(out - truth) <= 1e-8
 
 
@@ -135,7 +149,7 @@ def test_least_squares_matches_pinv_oracle_small():
         sup = Support(random_orthonormal(4, ku, rng), random_orthonormal(4, kv, rng))
         y = rng.standard_normal(p)
         assert np.linalg.norm(
-            least_squares_on_support(wop, y, sup) - _pinv_oracle(wop, y, sup)
+            _ls_estimate(wop, y, sup) - _pinv_oracle(wop, y, sup)
         ) <= 1e-10
 
 
@@ -222,7 +236,7 @@ def test_least_squares_residual_optimality_and_orthogonality():
     wop = WeightedOperator(op, q.q_inv, q.q_inv)
     sup = Support(random_orthonormal(n, 3, rng), random_orthonormal(n, 3, rng))
     y = rng.standard_normal(p)
-    x_tilde = least_squares_on_support(wop, y, sup)
+    x_tilde = _ls_estimate(wop, y, sup)
     residual = y - wop.apply(x_tilde)
     base = np.linalg.norm(residual)
     for _ in range(20):
@@ -273,3 +287,190 @@ def test_solve_input_validation():
         SolverConfig(rank=0)
     with pytest.raises(ValueError):
         SolverConfig(rank=2, residual_tolerance=0.0)
+
+
+# Property tests over random shapes. Derandomized so that the suite runs the
+# same examples every time.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+ORACLE_TOL = 1e-10
+
+
+def _check_against_oracle(wop, y, sup, lstsq_calls):
+    """Kernel output against the pinv oracle, and the number of gelsd calls."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", counting)
+        coef, design = least_squares_on_support(wop, y, sup)
+    assert coef.shape == sup.dims
+    assert design.shape == (wop.p, sup.dims[0] * sup.dims[1])
+    assert len(calls) == lstsq_calls
+    oracle = _pinv_oracle(wop, y, sup)
+    assert np.linalg.norm(sup.left @ coef @ sup.right.T - oracle) <= ORACLE_TOL
+
+
+def _weighted(op, n, rng, span_weight):
+    """Single-weight operator on a random rank-1 prior, or the raw operator."""
+    if span_weight is None:
+        return WeightedOperator(op)
+    q = build_weight_operator(random_orthonormal(n, 1, rng), WeightSpec.single(span_weight, 1.0))
+    return WeightedOperator(op, q.q_inv, q.q_inv)
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 6),
+    k_u=st.integers(1, 6),
+    k_v=st.integers(1, 6),
+    completion=st.booleans(),
+    span_weight=st.sampled_from([None, 1.0, 0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_least_squares_wide_designs_take_gelsd(n, k_u, k_v, completion, span_weight, seed, data):
+    # p < k_u * k_v: the system is underdetermined and only gelsd gives the
+    # minimum-norm solution. p stays at most half of k_u * k_v: the condition
+    # number of a nearly square random design has a heavy tail, and there two
+    # SVD-based solvers agree only to about cond * eps * ||coef||.
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    if k_u * k_v < 2:
+        k_u = k_v = 2
+    p = data.draw(st.integers(1, k_u * k_v // 2), label="p")
+    rng = np.random.default_rng(seed)
+    op = make_completion(n, p, rng) if completion else make_gaussian(n, p, rng)
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    _check_against_oracle(_weighted(op, n, rng, span_weight), rng.standard_normal(p), sup, 1)
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 6),
+    k_u=st.integers(1, 6),
+    k_v=st.integers(1, 6),
+    span_weight=st.sampled_from([None, 1.0, 0.3, 0.7]),
+    oversampling=st.floats(2.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_tall_gaussian_designs_take_cholesky(
+    n, k_u, k_v, span_weight, oversampling, seed
+):
+    # At least twice as many measurements as unknowns keeps a random design
+    # well conditioned, far above the Cholesky cut-off.
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    p = int(np.ceil(oversampling * k_u * k_v))
+    rng = np.random.default_rng(seed)
+    op = make_gaussian(n, p, rng)
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    _check_against_oracle(_weighted(op, n, rng, span_weight), rng.standard_normal(p), sup, 0)
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 6),
+    k_u=st.integers(1, 6),
+    k_v=st.integers(1, 6),
+    span_weight=st.sampled_from([None, 1.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_fully_sampled_completion_takes_cholesky(n, k_u, k_v, span_weight, seed):
+    # Sampling every entry makes the Gram matrix (G^T G) kron (H^T H).
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    rng = np.random.default_rng(seed)
+    op = make_completion(n, n * n, rng)
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    _check_against_oracle(_weighted(op, n, rng, span_weight), rng.standard_normal(n * n), sup, 0)
+
+
+def _with_e0(n, k, rng):
+    """Orthonormal (n, k) basis whose first column is e_0."""
+    rest = random_orthonormal(n - 1, k - 1, rng)
+    return np.vstack([np.eye(k)[:1], np.hstack([np.zeros((n - 1, 1)), rest])])
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 6),
+    k_u=st.integers(2, 6),
+    k_v=st.integers(1, 6),
+    oversampling=st.floats(1.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_rank_deficient_tall_designs_take_gelsd(n, k_u, k_v, oversampling, seed):
+    # Every sensing matrix has a zero first row and the left basis contains
+    # e_0, so k_v design columns are exactly zero: the Gram matrix is
+    # singular, its Cholesky factorization fails, and the minimum-norm
+    # solution leaves those coefficients at zero.
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    p = int(np.ceil(oversampling * k_u * k_v))
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((p, n, n)) / np.sqrt(p)
+    mats[:, 0, :] = 0.0
+    op = MeasurementOperator(GAUSSIAN, n, n, p, mats=mats)
+    sup = Support(_with_e0(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    _check_against_oracle(WeightedOperator(op), rng.standard_normal(p), sup, 1)
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 6),
+    k_u=st.integers(2, 6),
+    k_v=st.integers(1, 6),
+    span_weight=st.floats(1e-6, 1e-5),
+    oversampling=st.floats(2.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_ill_conditioned_tall_designs_take_gelsd(
+    n, k_u, k_v, span_weight, oversampling, seed
+):
+    # A near-zero weight on the first direction of the left basis scales k_v
+    # design columns by 1 / span_weight, so cond(D) is about 1e5 to 1e6 and
+    # the Cholesky diagonal ratio about span_weight, below GRAM_DIAG_RATIO_MIN.
+    assert span_weight < GRAM_DIAG_RATIO_MIN
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    p = int(np.ceil(oversampling * k_u * k_v))
+    rng = np.random.default_rng(seed)
+    op = make_gaussian(n, p, rng)
+    left = random_orthonormal(n, k_u, rng)
+    q = build_weight_operator(left[:, :1], WeightSpec.single(span_weight, 1.0))
+    sup = Support(left, random_orthonormal(n, k_v, rng))
+    _check_against_oracle(WeightedOperator(op, q.q_inv, None), rng.standard_normal(p), sup, 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([GAUSSIAN, COMPLETION]),
+    weighted=st.booleans(),
+    n=st.integers(6, 12),
+    rank=st.integers(1, 3),
+    ratio=st.floats(0.3, 0.9),
+    noise=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio, noise, seed):
+    # The loop takes its residual from the design; it must equal the residual
+    # of the de-weighted estimate measured through the raw operator.
+    rank = min(rank, n // 2)
+    rng = np.random.default_rng(seed)
+    p = max(1, int(ratio * n * n))
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    truth = random_low_rank(n, n, rank, rng)
+    y = op.apply(truth)
+    y += noise * np.linalg.norm(y) / np.sqrt(p) * rng.standard_normal(p)
+    weighting = None
+    if weighted:
+        spec = WeightSpec.per_direction([0.2] * rank, [0.95] * rank)
+        weighting = tuple(
+            build_weight_operator(random_orthonormal(n, rank, rng), spec, rng=rng) for _ in range(2)
+        )
+    run = solve(op, y, SolverConfig(rank=rank, max_iterations=8, weighting=weighting,
+                                    keep_estimates=True))
+    assert len(run.estimates) == len(run.trace) == run.iterations
+    y_norm = np.linalg.norm(y)
+    for rec, est in zip(run.trace, run.estimates):
+        measured = np.linalg.norm(y - op.apply(est))
+        assert abs(rec.residual_norm - measured) <= 1e-10 * y_norm
