@@ -6,7 +6,7 @@ roughly 1e-10, and consumers may rely on it.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3, dorgqr
 
 # Residual-norm cutoff below which a column is treated as linearly dependent.
 # Matches the reconstruction accuracy of double-precision SVD.
@@ -62,15 +62,24 @@ def orthonormalize(m):
 
     Columns whose residual against the already-accepted basis falls below
     ORTHO_DROP_TOL are dropped (pivoted QR). A zero or empty input yields an
-    (n, 0) basis.
+    (n, 0) basis; NaN/Inf entries raise ValueError. The result equals the
+    leading columns of ``scipy.linalg.qr(m, mode="economic", pivoting=True)``
+    bit for bit: LAPACK geqp3 and orgqr are called directly, which saves that
+    wrapper's workspace queries and copies on the small inputs of the loop.
     """
-    m = np.asarray(m, dtype=float)
+    m = np.asarray_chkfinite(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     if m.shape[1] == 0 or not m.any():
         return np.zeros((m.shape[0], 0))
-    q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    kept = int(np.sum(np.abs(np.diag(r)) > ORTHO_DROP_TOL))
+    qr, _, tau, _, info = dgeqp3(m)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+    kept = int(np.count_nonzero(np.abs(np.diagonal(qr)) > ORTHO_DROP_TOL))
+    n_rows = m.shape[0]
+    q, _, info = dorgqr(qr[:, :n_rows] if n_rows < m.shape[1] else qr, tau, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dorgqr")
     return q[:, :kept]
 
 

@@ -96,6 +96,16 @@ class WeightedOperator:
     qu_inv: np.ndarray = None
     qv_inv: np.ndarray = None
 
+    def __post_init__(self):
+        # An exact identity factor is dropped. Multiplying by it keeps every
+        # value but turns -0.0 into +0.0, and the sign of a zero steers the
+        # Householder reflectors of LAPACK's SVD and gelsd, so unit weights
+        # would not reproduce the unweighted loop bit for bit.
+        if self.qu_inv is not None and np.array_equal(self.qu_inv, np.eye(self.n_rows)):
+            self.qu_inv = None
+        if self.qv_inv is not None and np.array_equal(self.qv_inv, np.eye(self.n_cols)):
+            self.qv_inv = None
+
     @property
     def p(self):
         return self.base.p

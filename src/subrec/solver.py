@@ -6,27 +6,29 @@ support (dimension at most 3r), solve least squares restricted to the merged
 span, truncate back to rank r, and de-weight for the estimate. With no
 weighting the loop is the plain unweighted baseline (admira).
 
-Once the p x (k_u * k_v) design of the merged support is built, the rest of
-the iteration works in support coordinates, on the design and the k_u x k_v
-coefficient block M of the estimate U M V^T:
+After the merge the iteration works in support coordinates, on the
+k_u x k_v coefficient block M of the estimate U M V^T and the design D, the
+linear map vec(M) -> A(Qu^-1 U M V^T Qv^-1) of the merged support:
 
 * Least squares solves the normal equations D^T D m = D^T y by Cholesky when
-  the design is tall and the factor is well conditioned, and falls back to
-  SVD-based ``np.linalg.lstsq`` (gelsd) otherwise; see
+  the system is tall and the factor is well conditioned, and falls back to
+  SVD-based ``np.linalg.lstsq`` (gelsd) on the explicit design otherwise.
+  For completion the normal equations come from the sampling mask and the
+  explicit design is built only for that fallback; see
   ``least_squares_on_support``.
 * Truncation to rank r takes the SVD of the small block M, not of the n x n
   estimate. The merged bases are orthonormal, so with M = a diag(s) b^T the
   factors (U a, s, V b) are an SVD of U M V^T and the rank-r truncation is
   the same one, still in the weighted domain.
 * The residual is y - D vec(M_r), which equals y - A(Qu^-1 U M_r V^T Qv^-1)
-  by the definition of the design, so no pass over the sensing payload is
-  needed after the solve. The design is released before the next iteration.
+  by the definition of D, so no pass over the sensing payload is needed after
+  the solve. The design is released before the next iteration.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
 from .operators import COMPLETION, WeightedOperator
@@ -143,57 +145,102 @@ def merge_support(new, prev):
 def least_squares_on_support(op, y, support):
     """Minimum-norm least squares confined to span{U M V^T} of the support.
 
-    Builds the p x (k_u * k_v) design D whose i-th row measures the (u, v)
-    coefficient pair through ``op`` and returns ``(coef, design)``: the
-    k_u x k_v coefficient block M minimizing ||y - D vec(M)|| (the estimate is
-    U M V^T) and the design itself, so callers can form D vec(M') for any
-    block M' without touching the operator again.
+    The design D maps vec(M) for a k_u x k_v block M to op.apply(U M V^T).
+    Returns ``(coef, measure)``: the block M minimizing ||y - D vec(M)|| (the
+    estimate is U M V^T) and a function with measure(M') = D vec(M'), so
+    callers can measure any block without touching the operator again. ``y``
+    must be a finite vector of shape (p,); anything else raises ValueError.
 
-    A tall design (p >= k_u * k_v) is solved through the normal equations:
-    the Gram matrix D^T D is Cholesky factored and two triangular solves give
-    M, about p k^2 flops where gelsd first reduces D to bidiagonal form and
-    takes its SVD. The Gram squares the condition number, so this path is
-    taken only when the factorization succeeds and the ratio of the factor's
+    A tall system (p >= k_u * k_v) is solved through the normal equations:
+    LAPACK potrf factors the Gram matrix D^T D and potrs gives M. With
+    g = Qu^-1 U and h = Qv^-1 V, Gaussian sensing forms the Gram from the
+    explicit p x (k_u * k_v) design in about p k^4 flops, and measure(M') is
+    D vec(M'). For completion row i of D is g[r_i] kron h[c_i]. With the rows
+    of GG and HH holding g_r kron g_r and h_c kron h_c and S the 0/1 sampling
+    mask, D^T D is GG^T S HH reordered to the (i, j), (i', j') index order,
+    and D^T y = vec(g^T Y h) for the scattered measurements Y: about n k^4
+    flops, without building D. The mask and the scatter rely on the sampled
+    index pairs being distinct, which ``make_completion`` guarantees and the
+    operator's adjoint assumes. measure(M') gathers the sampled entries of
+    g M' h^T.
+
+    The Gram squares the condition number, so the Cholesky solution is kept
+    only when the factorization succeeds and the ratio of the factor's
     smallest to largest diagonal entry exceeds GRAM_DIAG_RATIO_MIN. A wide
-    design, a failed factorization or a ratio at or below the cut-off goes to
-    SVD-based ``np.linalg.lstsq`` (gelsd). The minimum-norm contract holds on
-    both paths: a Gram matrix with a Cholesky factor is positive definite, so
-    the design has full column rank and its least-squares solution is unique,
-    hence minimum-norm; rank-deficient and wide systems reach gelsd, which
-    returns the minimum-norm solution.
+    system, a failed factorization or a ratio at or below the cut-off builds
+    the explicit design and goes to SVD-based ``np.linalg.lstsq`` (gelsd).
+    The minimum-norm contract holds on both paths: a Gram matrix with a
+    Cholesky factor is positive definite, so the design has full column rank
+    and its least-squares solution is unique, hence minimum-norm;
+    rank-deficient and wide systems reach gelsd, which returns the
+    minimum-norm solution.
     """
     if support.is_empty():
         raise ValueError("support is empty")
     wop = op if isinstance(op, WeightedOperator) else WeightedOperator(op)
+    base = wop.base
+    y = np.asarray_chkfinite(y, dtype=float)
+    if y.shape != (base.p,):
+        raise ValueError(f"expected {base.p} measurements, got shape {y.shape}")
     u, v = support.left, support.right
     # The contiguous copies keep the BLAS summation order independent of how
-    # the support arrays happen to be strided, so an identity weighting
-    # reproduces the unweighted path bit for bit.
+    # the support arrays happen to be strided.
     g = np.ascontiguousarray(u) if wop.qu_inv is None else wop.qu_inv @ u
     h = np.ascontiguousarray(v) if wop.qv_inv is None else wop.qv_inv @ v
-    base = wop.base
+    tall = base.p >= g.shape[1] * h.shape[1]
+    coef = None
     if base.kind == COMPLETION:
-        rows = base.indices[:, 0]
-        cols = base.indices[:, 1]
-        design = (g[rows][:, :, None] * h[cols][:, None, :]).reshape(base.p, -1)
+        rows, cols = base.indices[:, 0], base.indices[:, 1]
+
+        def measure(m):
+            return ((g @ m)[rows] * h[cols]).sum(axis=1)
+
+        if tall:
+            coef = _cholesky_solve(*_completion_normal_equations(base, g, h, y))
+        if coef is None:
+            design = (g[rows][:, :, None] * h[cols][:, None, :]).reshape(base.p, -1)
     else:
         design = np.matmul(g.T, base.mats @ h).reshape(base.p, -1)
-    coef = _solve_design(design, np.asarray(y, dtype=float))
-    return coef.reshape(u.shape[1], v.shape[1]), design
+
+        def measure(m):
+            return design @ m.ravel()
+
+        if tall:
+            coef = _cholesky_solve(design.T @ design, design.T @ y)
+    if coef is None:
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    return coef.reshape(u.shape[1], v.shape[1]), measure
 
 
-def _solve_design(design, y):
-    """Least-squares coefficients: Gram-Cholesky when safe, else gelsd."""
-    if design.shape[0] >= design.shape[1]:
-        try:
-            factor = scipy.linalg.cho_factor(design.T @ design, check_finite=False)
-        except np.linalg.LinAlgError:
-            factor = None
-        if factor is not None:
-            diag = np.diag(factor[0])
-            if diag.min() > GRAM_DIAG_RATIO_MIN * diag.max():
-                return scipy.linalg.cho_solve(factor, design.T @ y, check_finite=False)
-    return np.linalg.lstsq(design, y, rcond=None)[0]
+def _completion_normal_equations(base, g, h, y):
+    """D^T D and D^T y of a completion design, assembled from the sampling mask."""
+    rows, cols = base.indices[:, 0], base.indices[:, 1]
+    mask = np.zeros((base.n_rows, base.n_cols))
+    mask[rows, cols] = 1.0
+    scattered = np.zeros((base.n_rows, base.n_cols))
+    scattered[rows, cols] = y
+    k_u, k_v = g.shape[1], h.shape[1]
+    gg = (g[:, :, None] * g[:, None, :]).reshape(base.n_rows, k_u * k_u)
+    hh = (h[:, :, None] * h[:, None, :]).reshape(base.n_cols, k_v * k_v)
+    # Entry (i i', j j') of GG^T S HH is the Gram entry ((i, j), (i', j')).
+    gram = (gg.T @ (mask @ hh)).reshape(k_u, k_u, k_v, k_v).transpose(0, 2, 1, 3)
+    return gram.reshape(k_u * k_v, k_u * k_v), (g.T @ scattered @ h).ravel()
+
+
+def _cholesky_solve(gram, rhs):
+    """Solve gram x = rhs by Cholesky; None when the factor fails the ratio test."""
+    factor, info = dpotrf(gram, lower=0, clean=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info > 0:
+        return None
+    diag = np.diagonal(factor)
+    if not diag.min() > GRAM_DIAG_RATIO_MIN * diag.max():
+        return None
+    coef, info = dpotrs(factor, rhs, lower=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return coef
 
 
 def solve(operator, y, config):
@@ -246,20 +293,21 @@ def solve(operator, y, config):
         if merged.is_empty():
             coef = np.zeros((0, 0))
         else:
-            coef, design = least_squares_on_support(wop, y, merged)
+            coef, measure = least_squares_on_support(wop, y, merged)
         if coef.any():
             a, s, bh = linalg.svd(coef)
             coef_r = (a[:, :r] * s[:r]) @ bh[:r]
             support = Support(merged.left @ a[:, :r], merged.right @ bh[:r].T)
             x_hat = (support.left * s[:r]) @ support.right.T
-            residual = y - design @ coef_r.ravel()
+            residual = y - measure(coef_r)
         else:
             x_hat = np.zeros((n_rows, n_cols))
             support = Support.empty(n_rows, n_cols)
             residual = y.copy()
-        # Drop the design before the next iteration assembles another, so two
-        # never coexist (on a large Gaussian operator that raises peak memory).
-        design = None
+        # Drop the Gaussian design (held by measure) before the next iteration
+        # assembles another, so two never coexist (on a large Gaussian operator
+        # that raises peak memory).
+        measure = None
         x_rec = wop.deweight(x_hat)
         res_norm = float(np.linalg.norm(residual))
         trace.append(IterationRecord(res_norm, merged.dims, support.dims))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -141,6 +142,34 @@ def test_run_trial_records_solver_errors_as_failures(monkeypatch):
     as_dict = report_to_dict(report)
     assert as_dict["trials"][0]["snr_db"] is None
     assert as_dict["trials"][0]["normalized_error"] is None
+
+
+def test_nan_measurement_in_grid_reaches_diagnostic(monkeypatch):
+    # One cell of a real grid gets a NaN measurement: its rows must end as
+    # errors that name the NaN, and every other row must still complete.
+    sc = small_scenario(sampling_ratios=[0.6, 0.8], solvers=["admira", "rmspi", "grmspi"])
+    bad_cell = (0.8, 1)
+    real = bench.generate_instance
+
+    def with_nan(scenario, ratio, trial_index):
+        instance = real(scenario, ratio, trial_index)
+        if (ratio, trial_index) == bad_cell:
+            y = instance.y.copy()
+            y[5] = np.nan
+            instance = dataclasses.replace(instance, y=y)
+        return instance
+
+    monkeypatch.setattr(bench, "generate_instance", with_nan)
+    report = run_grid(sc)
+    assert len(report.trials) == 2 * 2 * 3
+    for row in report.trials:
+        if (row.ratio, row.trial_index) == bad_cell:
+            assert row.stop_reason == "error" and not row.success
+            assert "NaN" in row.diagnostic
+        else:
+            assert row.stop_reason in ("tolerance", "stagnation", "max_iter")
+            assert row.diagnostic is None and math.isfinite(row.normalized_error)
+    json.dumps(report_to_dict(report))
 
 
 def test_run_trial_deterministic():

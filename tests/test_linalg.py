@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrec.linalg import (
+    ORTHO_DROP_TOL,
     orthonormalize,
     perturb_subspace,
     principal_angles,
@@ -179,6 +182,40 @@ def test_orthonormalize_reveals_rank():
 def test_orthonormalize_zero_input():
     out = orthonormalize(np.zeros((6, 3)))
     assert out.shape == (6, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_rows=st.integers(1, 40),
+    n_cols=st.integers(1, 20),
+    rank=st.integers(0, 20),
+    repeat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orthonormalize_matches_scipy_pivoted_qr_bit_for_bit(n_rows, n_cols, rank, repeat, seed):
+    # Tall and wide inputs, full rank or rank-deficient (a product through a
+    # rank-sized inner dimension, rank 0 being the zero matrix), optionally
+    # with the columns repeated as in a merge of a support with itself.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n_rows, n_cols)
+    m = rng.standard_normal((n_rows, rank)) @ rng.standard_normal((rank, n_cols))
+    if rank == min(n_rows, n_cols) and rng.random() < 0.5:
+        m = rng.standard_normal((n_rows, n_cols))
+    if repeat:
+        m = np.hstack([m, m])
+    q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    kept = int(np.sum(np.abs(np.diag(r)) > ORTHO_DROP_TOL))
+    out = orthonormalize(m)
+    assert out.shape == (n_rows, kept)
+    assert out.tobytes() == q[:, :kept].tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_orthonormalize_rejects_non_finite(value):
+    m = np.random.default_rng(15).standard_normal((6, 3))
+    m[2, 1] = value
+    with pytest.raises(ValueError):
+        orthonormalize(m)
 
 
 def test_random_orthonormal_square_is_orthogonal():

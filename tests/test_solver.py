@@ -16,11 +16,12 @@ from subrec.operators import (
     random_low_rank,
 )
 from subrec.solver import (
+    GRAM_DIAG_RATIO_MIN,
     SolverConfig,
     Support,
+    _completion_normal_equations,
     admira,
     identify_support,
-    GRAM_DIAG_RATIO_MIN,
     least_squares_on_support,
     merge_support,
     solve,
@@ -117,8 +118,8 @@ def test_least_squares_recovers_truth_in_span():
     assert np.linalg.norm(out - truth) <= 1e-8
 
 
-def _pinv_oracle(wop, y, sup):
-    """Row-by-row dense design plus explicit SVD pseudo-inverse."""
+def _oracle_design(wop, sup):
+    """Row-by-row dense design: row i is vec(U^T Qu^-1 A_i Qv^-1 V)."""
     base = wop.base
     qu = np.eye(base.n_rows) if wop.qu_inv is None else wop.qu_inv
     qv = np.eye(base.n_cols) if wop.qv_inv is None else wop.qv_inv
@@ -130,7 +131,12 @@ def _pinv_oracle(wop, y, sup):
         else:
             a_i = base.mats[i]
         rows.append((sup.left.T @ qu @ a_i @ qv @ sup.right).ravel())
-    design = np.vstack(rows)
+    return np.vstack(rows)
+
+
+def _pinv_oracle(wop, y, sup):
+    """Row-by-row dense design plus explicit SVD pseudo-inverse."""
+    design = _oracle_design(wop, sup)
     u, s, vh = np.linalg.svd(design, full_matrices=False)
     keep = s > s[0] * 1e-12 if s.size else np.zeros(0, bool)
     coef = vh[keep].T @ ((u[:, keep].T @ y) / s[keep])
@@ -277,6 +283,28 @@ def test_contraction_when_isometry_constant_small():
     assert np.mean([ratio <= 1.0 for ratio in ratios]) >= 0.95
 
 
+@pytest.mark.parametrize("kind", [GAUSSIAN, COMPLETION])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_least_squares_rejects_bad_measurements(kind, weighted):
+    # A wrong shape must not broadcast (the completion scatter would spread a
+    # length-1 y over every sampled entry), and a NaN or Inf must not turn
+    # into NaN coefficients on either the Cholesky or the gelsd path.
+    rng = np.random.default_rng(23)
+    n, p = 6, 20
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    wop = _weighted(op, n, rng, 0.4 if weighted else None)
+    for k in (2, 5):  # tall (Cholesky) and wide (gelsd) systems
+        sup = Support(random_orthonormal(n, k, rng), random_orthonormal(n, k, rng))
+        for shape in ((p - 1,), (1,), (p + 1,), (p, 1), ()):
+            with pytest.raises(ValueError):
+                least_squares_on_support(wop, np.ones(shape), sup)
+        for value in (np.nan, np.inf, -np.inf):
+            y = rng.standard_normal(p)
+            y[3] = value
+            with pytest.raises(ValueError):
+                least_squares_on_support(wop, y, sup)
+
+
 def test_solve_input_validation():
     op = make_gaussian(6, 12, 22)
     with pytest.raises(ValueError):
@@ -306,10 +334,12 @@ def _check_against_oracle(wop, y, sup, lstsq_calls):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "lstsq", counting)
-        coef, design = least_squares_on_support(wop, y, sup)
+        coef, measure = least_squares_on_support(wop, y, sup)
     assert coef.shape == sup.dims
-    assert design.shape == (wop.p, sup.dims[0] * sup.dims[1])
     assert len(calls) == lstsq_calls
+    design = _oracle_design(wop, sup)
+    assert np.linalg.norm(measure(coef) - design @ coef.ravel()) <= (
+        ORACLE_TOL * np.linalg.norm(design) * np.linalg.norm(coef))
     oracle = _pinv_oracle(wop, y, sup)
     assert np.linalg.norm(sup.left @ coef @ sup.right.T - oracle) <= ORACLE_TOL
 
@@ -474,3 +504,84 @@ def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio,
     for rec, est in zip(run.trace, run.estimates):
         measured = np.linalg.norm(y - op.apply(est))
         assert abs(rec.residual_norm - measured) <= 1e-10 * y_norm
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 7),
+    k_u=st.integers(1, 7),
+    k_v=st.integers(1, 7),
+    span_weight=st.sampled_from([None, 1.0, 0.3, 0.7]),
+    full=st.booleans(),
+    empty_row=st.booleans(),
+    empty_col=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_completion_normal_equations_match_explicit_design(
+    n, k_u, k_v, span_weight, full, empty_row, empty_col, seed, data
+):
+    # The mask-built Gram and right-hand side equal D^T D and D^T y of the
+    # explicit design, and measure(M) equals D vec(M), for any sampling:
+    # every entry (p = n^2), or a subset that may leave the first row or the
+    # first column without a sample.
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    rng = np.random.default_rng(seed)
+    if full:
+        op = make_completion(n, n * n, rng)
+    else:
+        cells = [
+            (r, c) for r in range(n) for c in range(n)
+            if not (empty_row and r == 0) and not (empty_col and c == 0)
+        ]
+        p = data.draw(st.integers(1, len(cells)), label="p")
+        chosen = rng.choice(len(cells), size=p, replace=False)
+        indices = np.array([cells[i] for i in chosen], dtype=np.intp)
+        op = MeasurementOperator(COMPLETION, n, n, p, indices=indices)
+    wop = _weighted(op, n, rng, span_weight)
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    y = rng.standard_normal(op.p)
+    design = _oracle_design(wop, sup)
+
+    g = sup.left if wop.qu_inv is None else wop.qu_inv @ sup.left
+    h = sup.right if wop.qv_inv is None else wop.qv_inv @ sup.right
+    gram, rhs = _completion_normal_equations(op, g, h, y)
+    scale = np.linalg.norm(design) * np.linalg.norm(y)
+    assert np.linalg.norm(gram - design.T @ design) <= 1e-12 * np.linalg.norm(design) ** 2
+    assert np.linalg.norm(rhs - design.T @ y) <= 1e-12 * scale
+
+    _, measure = least_squares_on_support(wop, y, sup)
+    m = rng.standard_normal((k_u, k_v))
+    expected = design @ m.ravel()
+    assert np.linalg.norm(measure(m) - expected) <= 1e-12 * np.linalg.norm(design) * np.linalg.norm(m)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([GAUSSIAN, COMPLETION]),
+    n=st.integers(6, 12),
+    rank=st.integers(1, 3),
+    ratio=st.floats(0.3, 0.9),
+    noise=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unit_rmspi_weights_reproduce_unweighted_solve_bit_for_bit(kind, n, rank, ratio, noise, seed):
+    # Single-mode (rmspi) weights of exactly 1.0 give Q^-1 = I exactly, and
+    # multiplying by an exact identity changes no bit, so the weighted solve
+    # must repeat the unweighted one: every estimate, the trace and the stop.
+    rank = min(rank, n // 2)
+    rng = np.random.default_rng(seed)
+    p = max(1, int(ratio * n * n))
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    y = op.apply(random_low_rank(n, n, rank, rng))
+    y += noise * np.linalg.norm(y) / np.sqrt(p) * rng.standard_normal(p)
+    ones = WeightSpec.single(1.0, 1.0)
+    weighting = tuple(build_weight_operator(random_orthonormal(n, rank, rng), ones) for _ in range(2))
+    run_w = solve(op, y, SolverConfig(rank=rank, weighting=weighting, keep_estimates=True))
+    run_0 = solve(op, y, SolverConfig(rank=rank, keep_estimates=True))
+    assert run_w.stop_reason == run_0.stop_reason
+    assert run_w.trace == run_0.trace
+    assert len(run_w.estimates) == len(run_0.estimates) == run_0.iterations
+    for a, b in zip(run_w.estimates, run_0.estimates):
+        assert np.array_equal(a, b)
+    assert np.array_equal(run_w.estimate, run_0.estimate)
