@@ -12,8 +12,7 @@ import numpy as np
 
 from subrec import bench
 from subrec.linalg import perturb_subspace, random_orthonormal
-from subrec.operators import WeightedOperator, make_gaussian, random_low_rank
-from subrec.weighting import build_weight_operator
+from subrec.operators import GAUSSIAN, WeightedOperator, random_low_rank
 
 
 def main():
@@ -30,11 +29,10 @@ def main():
     scenario = bench.builtin_presets()["close_close"]
     truth_u = random_orthonormal(30, 3, rng)
     truth_v = random_orthonormal(30, 3, rng)
-    qu = build_weight_operator(perturb_subspace(truth_u, scenario.theta_u, rng),
-                               scenario.rmspi_weights_u)
-    qv = build_weight_operator(perturb_subspace(truth_v, scenario.theta_v, rng),
-                               scenario.rmspi_weights_v)
-    base = make_gaussian(30, 270, 11)
+    prior_u = perturb_subspace(truth_u, scenario.theta_u, rng)
+    prior_v = perturb_subspace(truth_v, scenario.theta_v, rng)
+    qu, qv = bench.prior_weighting(scenario, "rmspi", prior_u, prior_v)
+    base = bench.make_operator(GAUSSIAN, 30, 270, 11)
     weighted = WeightedOperator(base, qu.q_inv, qv.q_inv)
     z = random_low_rank(30, 30, 3, rng)
     diff = np.max(np.abs(weighted.apply(qu.q @ z @ qv.q) - base.apply(z)))

@@ -57,7 +57,6 @@ from .solver import (
     SolverConfig,
     SolverRun,
     Support,
-    admira,
     identify_support,
     least_squares_on_support,
     merge_support,
@@ -85,7 +84,6 @@ __all__ = [
     "WeightOperator",
     "WeightSpec",
     "WeightedOperator",
-    "admira",
     "angle_weight",
     "angles_to_weights",
     "build_weight_operator",

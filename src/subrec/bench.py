@@ -80,15 +80,7 @@ class Scenario:
             object.__setattr__(self, "theta_v", tuple(float(t) for t in self.theta_v))
 
     def to_config(self):
-        cfg = asdict(self)
-        for key in ("rmspi_weights_u", "rmspi_weights_v", "grmspi_weights_u", "grmspi_weights_v"):
-            spec = getattr(self, key)
-            cfg[key] = None if spec is None else spec.to_config()
-        cfg["sampling_ratios"] = list(self.sampling_ratios)
-        cfg["solvers"] = list(self.solvers)
-        cfg["theta_u"] = None if self.theta_u is None else list(self.theta_u)
-        cfg["theta_v"] = None if self.theta_v is None else list(self.theta_v)
-        return cfg
+        return asdict(self)
 
     @classmethod
     def from_config(cls, cfg):
@@ -245,12 +237,7 @@ def generate_instance(scenario, ratio, trial_index):
     sigma = np.sort(rng_truth.uniform(1.0, 2.0, size=r))[::-1]
     truth = (truth_u * sigma) @ truth_v.T
 
-    op_seed = (*key, 1)
-    if scenario.operator_kind == COMPLETION:
-        operator = make_completion(n, p, op_seed)
-    else:
-        operator = make_gaussian(n, p, op_seed)
-
+    operator = make_operator(scenario.operator_kind, n, p, (*key, 1))
     y = operator.apply(truth)
     if scenario.noise_level > 0.0:
         rng_noise = np.random.default_rng((*key, 2))
@@ -266,34 +253,56 @@ def generate_instance(scenario, ratio, trial_index):
     return Instance(truth, truth_u, truth_v, operator, y, prior_u, prior_v, ratio, trial_index, key)
 
 
-def solver_config(scenario, instance, solver):
-    """Assemble the SolverConfig for one solver on one instance."""
+def make_operator(kind, n, p, seed):
+    """Seeded sensing operator of one kind: Gaussian, completion or identity.
+
+    Identity sensing has no randomness and exactly p = n^2 measurements.
+    """
+    if kind == IDENTITY:
+        if p != n * n:
+            raise ValueError(f"identity sensing needs p = n^2 = {n * n} measurements, got {p}")
+        return make_identity_sensing(n)
+    if kind == COMPLETION:
+        return make_completion(n, p, seed)
+    if kind == GAUSSIAN:
+        return make_gaussian(n, p, seed)
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def prior_weighting(scenario, solver, prior_u, prior_v, reference_u=None, reference_v=None):
+    """The (Qu, Qv) weighting a solver builds from subspace priors; None for admira.
+
+    Weight specs are the scenario's explicit ones for the solver, else
+    ``angles_to_weights`` of its prior angles (single mode for rmspi, per
+    direction for grmspi). The references are grmspi's complement references
+    (see ``build_weight_operator``); single-mode weights do not use them.
+    """
     if solver == "admira":
-        weighting = None
-    elif solver == "rmspi":
-        spec_u = scenario.rmspi_weights_u or angles_to_weights(scenario.theta_u, SINGLE)
-        spec_v = scenario.rmspi_weights_v or angles_to_weights(scenario.theta_v, SINGLE)
-        weighting = (
-            build_weight_operator(instance.prior_u, spec_u),
-            build_weight_operator(instance.prior_v, spec_v),
-        )
+        return None
+    if solver == "rmspi":
+        mode, spec_u, spec_v = SINGLE, scenario.rmspi_weights_u, scenario.rmspi_weights_v
     elif solver == "grmspi":
-        spec_u = scenario.grmspi_weights_u or angles_to_weights(scenario.theta_u, PER_DIRECTION)
-        spec_v = scenario.grmspi_weights_v or angles_to_weights(scenario.theta_v, PER_DIRECTION)
-        # The harness knows the ground truth, so the weighted complement
-        # directions are the ones actually paired with the principal angles.
-        weighting = (
-            build_weight_operator(instance.prior_u, spec_u, complement_reference=instance.truth_u),
-            build_weight_operator(instance.prior_v, spec_v, complement_reference=instance.truth_v),
-        )
+        mode, spec_u, spec_v = PER_DIRECTION, scenario.grmspi_weights_u, scenario.grmspi_weights_v
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return SolverConfig(
-        rank=scenario.rank,
-        max_iterations=SUCCESS_ITERATIONS,
-        weighting=weighting,
-        keep_estimates=True,
+    spec_u = spec_u or angles_to_weights(scenario.theta_u, mode)
+    spec_v = spec_v or angles_to_weights(scenario.theta_v, mode)
+    return (
+        build_weight_operator(prior_u, spec_u, complement_reference=reference_u),
+        build_weight_operator(prior_v, spec_v, complement_reference=reference_v),
     )
+
+
+def solver_config(scenario, instance, solver):
+    """Assemble the SolverConfig for one solver on one instance.
+
+    The harness knows the ground truth, so grmspi's weighted complement
+    directions are the ones actually paired with the principal angles.
+    """
+    weighting = prior_weighting(
+        scenario, solver, instance.prior_u, instance.prior_v, instance.truth_u, instance.truth_v
+    )
+    return SolverConfig(rank=scenario.rank, max_iterations=SUCCESS_ITERATIONS, weighting=weighting)
 
 
 @dataclass(frozen=True)
@@ -472,24 +481,13 @@ def rip_survey(n, ranks, ratios, samples, seed, scenario=None, operator_kind=GAU
     truth_v = random_orthonormal(n, r, rng)
     prior_u = perturb_subspace(truth_u, scenario.theta_u, rng)
     prior_v = perturb_subspace(truth_v, scenario.theta_v, rng)
-    spec_u = scenario.rmspi_weights_u or angles_to_weights(scenario.theta_u, SINGLE)
-    spec_v = scenario.rmspi_weights_v or angles_to_weights(scenario.theta_v, SINGLE)
-    qu = build_weight_operator(prior_u, spec_u)
-    qv = build_weight_operator(prior_v, spec_v)
+    qu, qv = prior_weighting(scenario, "rmspi", prior_u, prior_v)
 
     rows = []
     for rank in ranks:
         for ratio in ratios:
             p = measurement_count(n, ratio)
-            op_seed = (int(seed), int(rank), _ratio_key(ratio))
-            if operator_kind == IDENTITY:
-                if not math.isclose(ratio, 1.0):
-                    raise ValueError("identity sensing requires sampling ratio 1.0")
-                operator = make_identity_sensing(n)
-            elif operator_kind == COMPLETION:
-                operator = make_completion(n, p, op_seed)
-            else:
-                operator = make_gaussian(n, p, op_seed)
+            operator = make_operator(operator_kind, n, p, (int(seed), int(rank), _ratio_key(ratio)))
             weighted = WeightedOperator(operator, qu.q_inv, qv.q_inv)
             rng_cell = np.random.default_rng((int(seed), int(rank), _ratio_key(ratio), 1))
             mats = [random_low_rank(n, n, rank, rng_cell) for _ in range(samples)]

@@ -16,11 +16,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, bench
+from . import __version__, bench
 from .linalg import perturb_subspace, svd
-from .operators import COMPLETION, make_completion, make_gaussian
-from .solver import SolverConfig, solve
-from .weighting import PER_DIRECTION, SINGLE, angles_to_weights, build_weight_operator
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +90,8 @@ def _load_preset(name):
 def _print_trial(result):
     snr = "inf" if result.snr_db == float("inf") else f"{result.snr_db:.2f}"
     print(
-        f"solver={result.solver} success={result.success} "
+        f"solver={result.solver} n={result.operator['n']} p={result.operator['p']} "
+        f"success={result.success} "
         f"iterations={result.iterations_run} iterations_to_success={result.iterations_to_success} "
         f"snr_db={snr} normalized_error={result.normalized_error:.3e} "
         f"stop={result.stop_reason} wall_time={result.wall_time:.3f}s"
@@ -103,12 +101,13 @@ def _print_trial(result):
 
 
 def _cmd_recover(args):
-    if args.matrix:
-        return _recover_from_file(args)
     try:
-        scenario = _load_preset(args.preset)
-        instance = bench.generate_instance(scenario, args.ratio, args.trial)
-    except ValueError as exc:
+        if args.matrix:
+            scenario, instance = _matrix_trial(args)
+        else:
+            scenario = _load_preset(args.preset)
+            instance = bench.generate_instance(scenario, args.ratio, args.trial)
+    except (OSError, ValueError) as exc:
         print(f"subrec recover: {exc}", file=sys.stderr)
         return 1
     result = bench.run_trial(instance, args.solver, scenario)
@@ -116,68 +115,46 @@ def _cmd_recover(args):
     return 0 if result.diagnostic is None else 2
 
 
-def _recover_from_file(args):
-    try:
-        matrix = bench.read_matrix_csv(args.matrix)
-        if not np.isfinite(matrix).all():
-            raise ValueError(f"matrix file {args.matrix} contains NaN or Inf entries")
-        if args.rank is None:
-            raise ValueError("--rank is required with --matrix")
-        n_rows, n_cols = matrix.shape
-        if n_rows != n_cols:
-            raise ValueError("recover currently expects a square matrix")
-        rank = args.rank
-        if not 1 <= rank <= n_rows // 2:
-            raise ValueError(f"rank must lie in [1, {n_rows // 2}] for prior construction")
-        theta_u = args.theta_u if args.theta_u else (5.0,) * rank
-        theta_v = args.theta_v if args.theta_v else (5.0,) * rank
-        if len(theta_u) != rank or len(theta_v) != rank:
-            raise ValueError("need one prior angle per rank direction")
-        if any(not 0.0 <= t <= 90.0 for t in theta_u + theta_v):
-            raise ValueError("prior angles must lie in [0, 90] degrees")
-        p = bench.measurement_count(n_rows, args.ratio)
-        if p < 1:
-            raise ValueError("sampling ratio yields no measurements")
-    except (OSError, ValueError) as exc:
-        print(f"subrec recover: {exc}", file=sys.stderr)
-        return 1
+def _matrix_trial(args):
+    """One-cell scenario and instance sensing the --matrix file itself.
 
-    operator = (
-        make_completion(n_rows, p, (args.seed, 1))
-        if args.kind == COMPLETION
-        else make_gaussian(n_rows, p, (args.seed, 1))
-    )
-    y = operator.apply(matrix)
+    The matrix is the ground truth; its top-rank singular subspaces are the
+    true subspaces the priors tilt away from.
+    """
+    matrix = bench.read_matrix_csv(args.matrix)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"matrix file {args.matrix} contains NaN or Inf entries")
+    if args.rank is None:
+        raise ValueError("--rank is required with --matrix")
+    n_rows, n_cols = matrix.shape
+    if n_rows != n_cols:
+        raise ValueError("recover currently expects a square matrix")
+    rank = args.rank
+    if not 1 <= rank <= n_rows // 2:
+        raise ValueError(f"rank must lie in [1, {n_rows // 2}] for prior construction")
+    theta_u = args.theta_u if args.theta_u else (5.0,) * rank
+    theta_v = args.theta_v if args.theta_v else (5.0,) * rank
+    if len(theta_u) != rank or len(theta_v) != rank:
+        raise ValueError("need one prior angle per rank direction")
+    if any(not 0.0 <= t <= 90.0 for t in theta_u + theta_v):
+        raise ValueError("prior angles must lie in [0, 90] degrees")
+    p = bench.measurement_count(n_rows, args.ratio)
+    operator = bench.make_operator(args.kind, n_rows, p, (args.seed, 1))
+
     u, _, vh = svd(matrix)
     truth_u, truth_v = u[:, :rank], vh[:rank].T
     rng = np.random.default_rng((args.seed, 3))
     prior_u = perturb_subspace(truth_u, theta_u, rng)
     prior_v = perturb_subspace(truth_v, theta_v, rng)
-
-    if args.solver == "admira":
-        weighting = None
-    elif args.solver == "rmspi":
-        weighting = (
-            build_weight_operator(prior_u, angles_to_weights(theta_u, SINGLE)),
-            build_weight_operator(prior_v, angles_to_weights(theta_v, SINGLE)),
-        )
-    else:
-        weighting = (
-            build_weight_operator(prior_u, angles_to_weights(theta_u, PER_DIRECTION),
-                                  complement_reference=truth_u),
-            build_weight_operator(prior_v, angles_to_weights(theta_v, PER_DIRECTION),
-                                  complement_reference=truth_v),
-        )
-    config = SolverConfig(rank=rank, max_iterations=20, weighting=weighting)
-    run = solve(operator, y, config)
-    error = float(np.linalg.norm(matrix - run.estimate) / np.linalg.norm(matrix))
-    snr = analysis.snr_db(matrix, run.estimate)
-    print(
-        f"solver={args.solver} n={n_rows} p={p} iterations={run.iterations} "
-        f"stop={run.stop_reason} normalized_error={error:.3e} "
-        f"snr_db={'inf' if snr == float('inf') else f'{snr:.2f}'}"
+    instance = bench.Instance(
+        matrix, truth_u, truth_v, operator, operator.apply(matrix), prior_u, prior_v,
+        ratio=args.ratio, trial_index=0, seed=(args.seed,),
     )
-    return 0
+    scenario = bench.Scenario(
+        name="matrix", n=n_rows, rank=rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
+        theta_u=theta_u, theta_v=theta_v, trials=1,
+    )
+    return scenario, instance
 
 
 def _cmd_bench(args):
@@ -223,12 +200,11 @@ def _cmd_rip(args):
         ranks = [int(part) for part in args.ranks.split(",")]
         ratios = [float(part) for part in args.ratios.split(",")]
         scenario = _load_preset(args.preset)
+        rows = bench.rip_survey(args.n, ranks, ratios, args.samples, args.seed,
+                                scenario=scenario, operator_kind=args.kind)
     except ValueError as exc:
         print(f"subrec rip: {exc}", file=sys.stderr)
         return 1
-    rows = bench.rip_survey(
-        args.n, ranks, ratios, args.samples, args.seed, scenario=scenario, operator_kind=args.kind
-    )
     print("rank,ratio,p,delta_base,delta_weighted")
     lines = [f"{r.rank},{r.ratio:g},{r.p},{r.delta_base:.6f},{r.delta_weighted:.6f}" for r in rows]
     for line in lines:

@@ -171,8 +171,6 @@ def estimate_rip(op, rank, samples, rng=None, sample_mats=None):
     from ``rng``.
     """
     if sample_mats is None:
-        if samples < 1:
-            raise ValueError("need at least one sample")
         gen = as_generator(rng)
         sample_mats = [
             random_low_rank(op.n_rows, op.n_cols, rank, gen) for _ in range(samples)
@@ -181,7 +179,9 @@ def estimate_rip(op, rank, samples, rng=None, sample_mats=None):
     for x in sample_mats:
         y = op.apply(x)
         ratios.append(float(y @ y) / float(np.sum(x * x)))
+    if not ratios:
+        raise ValueError("need at least one sample")
     ratio_min = min(ratios)
     ratio_max = max(ratios)
     delta_hat = max(1.0 - ratio_min, ratio_max - 1.0)
-    return RipEstimate(rank, len(sample_mats), delta_hat, ratio_min, ratio_max)
+    return RipEstimate(rank, len(ratios), delta_hat, ratio_min, ratio_max)

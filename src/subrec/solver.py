@@ -80,16 +80,13 @@ class SolverConfig:
 
     ``weighting`` is None for the unweighted baseline or a (Qu, Qv) pair of
     WeightOperator; single-weight specs give the one-weight variant, per
-    direction specs the multi-weight variant. ``keep_estimates`` retains the
-    de-weighted estimate of every iteration (used by the benchmark harness to
-    locate the first successful iteration).
+    direction specs the multi-weight variant.
     """
 
     rank: int
     max_iterations: int = 20
     residual_tolerance: float = 1e-6
     weighting: object = None
-    keep_estimates: bool = False
 
     def __post_init__(self):
         if self.rank < 1:
@@ -109,13 +106,18 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class SolverRun:
-    """Outcome of a solve: final de-weighted estimate plus the iteration trace."""
+    """Outcome of a solve: final de-weighted estimate plus the iteration trace.
+
+    ``estimates`` holds the de-weighted estimate of every iteration, so
+    ``estimates[-1]`` is ``estimate``; a solve keeps up to
+    ``max_iterations`` n x n arrays.
+    """
 
     estimate: np.ndarray
     iterations: int
     trace: list
     stop_reason: str
-    estimates: list = None
+    estimates: list
 
 
 def identify_support(proxy, k):
@@ -257,9 +259,10 @@ def solve(operator, y, config):
     Returns
     -------
     SolverRun with the de-weighted estimate (rank <= config.rank), iteration
-    count, per-iteration trace, and the stop reason: 'tolerance' when the
-    relative measurement residual falls below config.residual_tolerance,
-    'stagnation' after three flat iterations, else 'max_iter'.
+    count, per-iteration trace and estimates, and the stop reason:
+    'tolerance' when the relative measurement residual falls below
+    config.residual_tolerance, 'stagnation' after three flat iterations, else
+    'max_iter'.
     """
     y = np.asarray_chkfinite(y, dtype=float)
     if y.shape != (operator.p,):
@@ -281,7 +284,7 @@ def solve(operator, y, config):
     y_norm = float(np.linalg.norm(y))
     residual = y.copy()
     trace = []
-    estimates = [] if config.keep_estimates else None
+    estimates = []
     stop_reason = "max_iter"
     prev_norm = None
     flat_run = 0
@@ -311,8 +314,7 @@ def solve(operator, y, config):
         x_rec = wop.deweight(x_hat)
         res_norm = float(np.linalg.norm(residual))
         trace.append(IterationRecord(res_norm, merged.dims, support.dims))
-        if estimates is not None:
-            estimates.append(x_rec.copy())
+        estimates.append(x_rec)
         if res_norm <= config.residual_tolerance * y_norm:
             stop_reason = "tolerance"
             break
@@ -327,8 +329,3 @@ def solve(operator, y, config):
         prev_norm = res_norm
 
     return SolverRun(x_rec, iterations, trace, stop_reason, estimates)
-
-
-def admira(operator, y, rank, max_iterations=20):
-    """Unweighted baseline: the same loop with identity weighting."""
-    return solve(operator, y, SolverConfig(rank=rank, max_iterations=max_iterations))

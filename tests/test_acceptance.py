@@ -74,12 +74,12 @@ def test_criterion_2_admira_reduction():
         run_w = solve(
             instance.operator,
             instance.y,
-            SolverConfig(rank=3, max_iterations=20, weighting=weighting, keep_estimates=True),
+            SolverConfig(rank=3, max_iterations=20, weighting=weighting),
         )
         run_0 = solve(
             instance.operator,
             instance.y,
-            SolverConfig(rank=3, max_iterations=20, keep_estimates=True),
+            SolverConfig(rank=3, max_iterations=20),
         )
         assert run_w.iterations == run_0.iterations
         for a, b in zip(run_w.estimates, run_0.estimates):

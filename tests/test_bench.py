@@ -25,7 +25,13 @@ from subrec.bench import (
     write_report_json,
 )
 from subrec.linalg import principal_angles
-from subrec.weighting import WeightSpec
+from subrec.weighting import (
+    PER_DIRECTION,
+    SINGLE,
+    WeightSpec,
+    angles_to_weights,
+    build_weight_operator,
+)
 
 
 def small_scenario(**overrides):
@@ -292,6 +298,8 @@ def test_scenario_config_round_trip(tmp_path):
     save_scenario(sc, path)
     loaded = load_scenario(path)
     assert loaded == sc
+    for preset in builtin_presets().values():
+        assert Scenario.from_config(preset.to_config()) == preset
 
 
 def test_scenario_rejects_unknown_keys(tmp_path):
@@ -361,3 +369,43 @@ def test_rip_survey_identity_and_ordering():
     assert gaussian_rows == again
     with pytest.raises(ValueError):
         rip_survey(8, [1], [0.5], samples=10, seed=1, operator_kind="identity")
+
+
+@pytest.mark.parametrize("solver", ["rmspi", "grmspi"])
+@pytest.mark.parametrize("explicit", [True, False])
+def test_prior_weighting_matches_hand_built_operators(solver, explicit):
+    # The one place priors become weights: the scenario's explicit spec, else
+    # angles_to_weights of its angles, and the references go to grmspi's
+    # per-direction complement. Compared byte for byte with the same build
+    # written out by hand.
+    preset = builtin_presets()["close_far"]
+    if not explicit:
+        preset = dataclasses.replace(preset, rmspi_weights_u=None, rmspi_weights_v=None,
+                                     grmspi_weights_u=None, grmspi_weights_v=None)
+    instance = generate_instance(preset, 0.6, 0)
+    mode = SINGLE if solver == "rmspi" else PER_DIRECTION
+    sides = (
+        (instance.prior_u, preset.theta_u, instance.truth_u, f"{solver}_weights_u"),
+        (instance.prior_v, preset.theta_v, instance.truth_v, f"{solver}_weights_v"),
+    )
+    weighting = bench.prior_weighting(preset, solver, instance.prior_u, instance.prior_v,
+                                      instance.truth_u, instance.truth_v)
+    assert len(weighting) == 2
+    for got, (prior, theta, reference, field) in zip(weighting, sides):
+        spec = getattr(preset, field) if explicit else angles_to_weights(theta, mode)
+        assert got.spec == spec
+        want = build_weight_operator(prior, spec, complement_reference=reference)
+        assert got.q.tobytes() == want.q.tobytes()
+        assert got.q_inv.tobytes() == want.q_inv.tobytes()
+    if solver == "grmspi":
+        # Without a reference (and no rng) the per-direction complement is undefined.
+        with pytest.raises(ValueError, match="complement reference"):
+            bench.prior_weighting(preset, solver, instance.prior_u, instance.prior_v)
+
+
+def test_prior_weighting_admira_and_unknown_solver():
+    preset = builtin_presets()["close_close"]
+    instance = generate_instance(preset, 0.6, 0)
+    assert bench.prior_weighting(preset, "admira", instance.prior_u, instance.prior_v) is None
+    with pytest.raises(ValueError, match="unknown solver"):
+        bench.prior_weighting(preset, "sdp", instance.prior_u, instance.prior_v)

@@ -5,6 +5,10 @@ import pytest
 
 from subrec import bench
 from subrec.cli import main
+from subrec.linalg import perturb_subspace, svd
+from subrec.operators import COMPLETION, make_completion, make_gaussian
+from subrec.solver import SolverConfig, solve
+from subrec.weighting import PER_DIRECTION, SINGLE, angles_to_weights, build_weight_operator
 
 
 def test_presets_listing(capsys):
@@ -109,6 +113,11 @@ def test_recover_matrix_errors(tmp_path, capsys):
     bench.write_matrix_csv(rng.standard_normal((4, 6)), rect)
     assert main(["recover", "--matrix", str(rect), "--rank", "1"]) == 1
     assert main(["recover", "--matrix", str(path), "--rank", "1", "--theta-u", "95"]) == 1
+    capsys.readouterr()
+    code = main(["recover", "--matrix", str(path), "--rank", "1", "--kind", "completion",
+                 "--ratio", "1.5"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("subrec recover: measurement count 54 outside")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -137,3 +146,74 @@ def test_rip_command(tmp_path, capsys):
 
 def test_rip_command_bad_args():
     assert main(["rip", "--ranks", "one,two"]) == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "completion", "--ratios", "1.5"], "measurement count"),
+        (["--n", "10", "--ratios", "0.001"], "at least one measurement"),
+        (["--kind", "identity", "--ratios", "0.5"], "identity sensing"),
+        (["--n", "4"], "too small to rotate"),
+        (["--samples", "0"], "need at least one sample"),
+    ],
+)
+def test_rip_command_configuration_errors(capsys, args, message):
+    assert main(["rip", "--ranks", "1", "--samples", "3", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("subrec rip: ") and message in err
+
+
+def _recover_oracle(matrix, rank, kind, ratio, seed, solver, theta_u, theta_v):
+    # The --matrix recipe written out: operator seed (seed, 1), priors from
+    # the rng (seed, 3) tilting the matrix's own top-rank subspaces, weights
+    # from the angles, grmspi's complement reference from the same SVD.
+    n = matrix.shape[0]
+    p = bench.measurement_count(n, ratio)
+    op = make_completion(n, p, (seed, 1)) if kind == COMPLETION else make_gaussian(n, p, (seed, 1))
+    u, _, vh = svd(matrix)
+    truth_u, truth_v = u[:, :rank], vh[:rank].T
+    rng = np.random.default_rng((seed, 3))
+    prior_u = perturb_subspace(truth_u, theta_u, rng)
+    prior_v = perturb_subspace(truth_v, theta_v, rng)
+    if solver == "admira":
+        weighting = None
+    elif solver == "rmspi":
+        weighting = (
+            build_weight_operator(prior_u, angles_to_weights(theta_u, SINGLE)),
+            build_weight_operator(prior_v, angles_to_weights(theta_v, SINGLE)),
+        )
+    else:
+        weighting = (
+            build_weight_operator(prior_u, angles_to_weights(theta_u, PER_DIRECTION),
+                                  complement_reference=truth_u),
+            build_weight_operator(prior_v, angles_to_weights(theta_v, PER_DIRECTION),
+                                  complement_reference=truth_v),
+        )
+    config = SolverConfig(rank=rank, max_iterations=20, weighting=weighting)
+    run = solve(op, op.apply(matrix), config)
+    error = np.linalg.norm(matrix - run.estimate) / np.linalg.norm(matrix)
+    return p, run, error
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "completion"])
+@pytest.mark.parametrize("solver", ["admira", "rmspi", "grmspi"])
+def test_recover_matrix_matches_recipe(tmp_path, capsys, kind, solver):
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((14, 2)) @ rng.standard_normal((2, 14))
+    path = tmp_path / "matrix.csv"
+    bench.write_matrix_csv(matrix, path)
+    code = main(["recover", "--matrix", str(path), "--rank", "2", "--kind", kind, "--ratio", "0.7",
+                 "--seed", "4", "--solver", solver, "--theta-u", "3,6", "--theta-v", "4,8"])
+    assert code == 0
+    fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
+    p, run, error = _recover_oracle(matrix, 2, kind, 0.7, 4, solver, (3.0, 6.0), (4.0, 8.0))
+    assert fields["solver"] == solver
+    assert fields["n"] == "14" and fields["p"] == str(p)
+    assert fields["normalized_error"] == f"{error:.3e}"
+    assert fields["iterations"] == str(run.iterations)
+    assert fields["stop"] == run.stop_reason
+    # --matrix judges success against the matrix itself, at any iterate.
+    tolerance = 1e-2 * np.linalg.norm(matrix)
+    success = any(np.linalg.norm(matrix - est) <= tolerance for est in run.estimates)
+    assert fields["success"] == str(success)

@@ -145,8 +145,10 @@ def test_estimate_rip_deterministic():
     a = estimate_rip(op, 2, 100, rng=21)
     b = estimate_rip(op, 2, 100, rng=21)
     assert a == b
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one sample"):
         estimate_rip(op, 2, 0, rng=1)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        estimate_rip(op, 2, 0, sample_mats=[])
 
 
 def _fig1_weighting(rng):

@@ -20,7 +20,6 @@ from subrec.solver import (
     SolverConfig,
     Support,
     _completion_normal_equations,
-    admira,
     identify_support,
     least_squares_on_support,
     merge_support,
@@ -178,23 +177,11 @@ def test_solve_identity_weights_match_admira():
         build_weight_operator(prior, WeightSpec.single(1.0, 1.0)),
         build_weight_operator(prior, WeightSpec.single(1.0, 1.0)),
     )
-    run_w = solve(op, y, SolverConfig(rank=r, weighting=ones, keep_estimates=True))
-    run_0 = solve(op, y, SolverConfig(rank=r, keep_estimates=True))
+    run_w = solve(op, y, SolverConfig(rank=r, weighting=ones))
+    run_0 = solve(op, y, SolverConfig(rank=r))
     assert run_w.iterations == run_0.iterations
     for a, b in zip(run_w.estimates, run_0.estimates):
         assert np.linalg.norm(a - b) <= 1e-12
-
-
-def test_admira_is_alias_of_unweighted_solve():
-    rng = np.random.default_rng(10)
-    n, r = 10, 2
-    truth = (random_orthonormal(n, r, rng) * [2.0, 1.0]) @ random_orthonormal(n, r, rng).T
-    op = make_gaussian(n, 60, 11)
-    y = op.apply(truth)
-    a = admira(op, y, r)
-    b = solve(op, y, SolverConfig(rank=r, max_iterations=20))
-    assert np.array_equal(a.estimate, b.estimate)
-    assert a.iterations == b.iterations and a.stop_reason == b.stop_reason
 
 
 def test_exact_recovery_with_identity_sensing():
@@ -202,9 +189,10 @@ def test_exact_recovery_with_identity_sensing():
     n = 8
     truth = np.outer(rng.standard_normal(n), rng.standard_normal(n))
     op = make_identity_sensing(n)
-    run = admira(op, op.apply(truth), 1)
+    run = solve(op, op.apply(truth), SolverConfig(rank=1))
     assert run.iterations == 1
     assert run.stop_reason == "tolerance"
+    assert len(run.estimates) == 1 and np.array_equal(run.estimates[-1], run.estimate)
     assert np.linalg.norm(run.estimate - truth) / np.linalg.norm(truth) <= 1e-10
 
 
@@ -219,7 +207,7 @@ def test_support_dimension_bounds_and_deweighting_consistency():
         build_weight_operator(prior, WeightSpec.single(0.3, 0.95)),
         build_weight_operator(prior, WeightSpec.single(0.3, 0.95)),
     )
-    cfg = SolverConfig(rank=r, weighting=weighting, keep_estimates=True)
+    cfg = SolverConfig(rank=r, weighting=weighting)
     run = solve(op, y, cfg)
     qu, qv = weighting
     for rec in run.trace:
@@ -277,7 +265,7 @@ def test_contraction_when_isometry_constant_small():
         u = random_orthonormal(n, r, np.random.default_rng((20, t)))
         v = random_orthonormal(n, r, np.random.default_rng((21, t)))
         truth = (u * [2.0, 1.0]) @ v.T
-        run = solve(op, op.apply(truth), SolverConfig(rank=r, keep_estimates=True))
+        run = solve(op, op.apply(truth), SolverConfig(rank=r))
         errs = [np.linalg.norm(truth - est) for est in run.estimates]
         ratios.extend(b / a for a, b in zip(errs, errs[1:]) if a > 1e-13)
     assert np.mean([ratio <= 1.0 for ratio in ratios]) >= 0.95
@@ -483,7 +471,8 @@ def test_least_squares_ill_conditioned_tall_designs_take_gelsd(
 )
 def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio, noise, seed):
     # The loop takes its residual from the design; it must equal the residual
-    # of the de-weighted estimate measured through the raw operator.
+    # of the de-weighted estimate measured through the raw operator. Every
+    # solve keeps one estimate per iteration, the last being the final one.
     rank = min(rank, n // 2)
     rng = np.random.default_rng(seed)
     p = max(1, int(ratio * n * n))
@@ -497,9 +486,9 @@ def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio,
         weighting = tuple(
             build_weight_operator(random_orthonormal(n, rank, rng), spec, rng=rng) for _ in range(2)
         )
-    run = solve(op, y, SolverConfig(rank=rank, max_iterations=8, weighting=weighting,
-                                    keep_estimates=True))
+    run = solve(op, y, SolverConfig(rank=rank, max_iterations=8, weighting=weighting))
     assert len(run.estimates) == len(run.trace) == run.iterations
+    assert np.array_equal(run.estimates[-1], run.estimate)
     y_norm = np.linalg.norm(y)
     for rec, est in zip(run.trace, run.estimates):
         measured = np.linalg.norm(y - op.apply(est))
@@ -577,8 +566,8 @@ def test_unit_rmspi_weights_reproduce_unweighted_solve_bit_for_bit(kind, n, rank
     y += noise * np.linalg.norm(y) / np.sqrt(p) * rng.standard_normal(p)
     ones = WeightSpec.single(1.0, 1.0)
     weighting = tuple(build_weight_operator(random_orthonormal(n, rank, rng), ones) for _ in range(2))
-    run_w = solve(op, y, SolverConfig(rank=rank, weighting=weighting, keep_estimates=True))
-    run_0 = solve(op, y, SolverConfig(rank=rank, keep_estimates=True))
+    run_w = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
+    run_0 = solve(op, y, SolverConfig(rank=rank))
     assert run_w.stop_reason == run_0.stop_reason
     assert run_w.trace == run_0.trace
     assert len(run_w.estimates) == len(run_0.estimates) == run_0.iterations
