@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analysis
-from .linalg import perturb_subspace, random_orthonormal
+from .linalg import perturb_subspace, random_orthonormal, single_blas_thread
 from .operators import (
     COMPLETION,
     GAUSSIAN,
@@ -399,11 +399,25 @@ class Report:
 
 
 def resolve_threads(threads=None):
-    """Thread count for the trial pool: explicit arg, else env var, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
+    """Thread count for the trial pool: explicit arg, else env var, else 1.
+
+    Raises ValueError, naming the source, for a count below 1 or a
+    non-integer environment value.
+    """
+    source = "threads"
+    if threads is None:
+        env = os.environ.get(THREADS_ENV)
+        if not env:
+            return 1
+        source = THREADS_ENV
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def run_grid(scenario, threads=None):
@@ -411,7 +425,11 @@ def run_grid(scenario, threads=None):
 
     Trials are independent; with threads > 1 they run on a thread pool, and
     because every trial reseeds from (master_seed, ratio, trial_index) the
-    report is identical to a serial run.
+    report is identical to a serial run. Every cell, serial or pooled, runs
+    with OpenBLAS on one thread (``linalg.single_blas_thread``, process-wide,
+    restored when the grid returns or raises): threaded BLAS kernels are not
+    bit-stable across thread counts, and BLAS threads inside pool workers
+    would oversubscribe the cores, so parallelism comes from the pool alone.
     """
     validate_scenario(scenario)
     threads = resolve_threads(threads)
@@ -422,11 +440,12 @@ def run_grid(scenario, threads=None):
         instance = generate_instance(scenario, ratio, trial_index)
         return cell, {s: run_trial(instance, s, scenario) for s in scenario.solvers}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = dict(pool.map(run_cell, cells))
-    else:
-        outcomes = dict(map(run_cell, cells))
+    with single_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outcomes = dict(pool.map(run_cell, cells))
+        else:
+            outcomes = dict(map(run_cell, cells))
 
     rows = []
     aggregates = []

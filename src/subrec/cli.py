@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, bench
-from .linalg import perturb_subspace, svd
+from .linalg import perturb_subspace, single_blas_thread, svd
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,16 +101,18 @@ def _print_trial(result):
 
 
 def _cmd_recover(args):
-    try:
-        if args.matrix:
-            scenario, instance = _matrix_trial(args)
-        else:
-            scenario = _load_preset(args.preset)
-            instance = bench.generate_instance(scenario, args.ratio, args.trial)
-    except (OSError, ValueError) as exc:
-        print(f"subrec recover: {exc}", file=sys.stderr)
-        return 1
-    result = bench.run_trial(instance, args.solver, scenario)
+    # One BLAS thread, as in run_grid, so the trial equals its grid row bit for bit.
+    with single_blas_thread():
+        try:
+            if args.matrix:
+                scenario, instance = _matrix_trial(args)
+            else:
+                scenario = _load_preset(args.preset)
+                instance = bench.generate_instance(scenario, args.ratio, args.trial)
+        except (OSError, ValueError) as exc:
+            print(f"subrec recover: {exc}", file=sys.stderr)
+            return 1
+        result = bench.run_trial(instance, args.solver, scenario)
     _print_trial(result)
     return 0 if result.diagnostic is None else 2
 
@@ -175,11 +177,12 @@ def _cmd_bench(args):
         if overrides:
             scenario = bench.Scenario.from_config({**scenario.to_config(), **overrides})
         bench.validate_scenario(scenario)
+        threads = bench.resolve_threads(args.threads)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"subrec bench: {exc}", file=sys.stderr)
         return 1
 
-    report = bench.run_grid(scenario, threads=args.threads)
+    report = bench.run_grid(scenario, threads=threads)
     out = args.out or f"report_{scenario.name}.json"
     bench.write_report_json(report, out)
     if args.csv:

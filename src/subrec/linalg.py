@@ -5,6 +5,11 @@ orthonormal columns; functions that construct one guarantee orthonormality to
 roughly 1e-10, and consumers may rely on it.
 """
 
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dorgqr
 
@@ -81,6 +86,62 @@ def orthonormalize(m):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dorgqr")
     return q[:, :kept]
+
+
+@functools.cache
+def openblas_thread_controls():
+    """(get, set) thread-count functions of every loaded OpenBLAS, found once.
+
+    numpy and scipy wheels each bundle their own OpenBLAS. The shared objects
+    mapped into this process (Linux ``/proc/self/maps``) whose file name
+    contains "openblas" are opened with ctypes and searched for the plain
+    OpenBLAS names and the scipy-openblas ones (with the ILP64 "64_" suffix).
+    Empty where nothing is found, e.g. for another BLAS or another system.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # Fields: address, perms, offset, device, inode, then the path.
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads"):
+            get = getattr(lib, stem.format("get"), None)
+            set_ = getattr(lib, stem.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    OpenBLAS keeps one count for the whole process (in the wheels' pthreads
+    build even its ``_local`` setter does), so this pins every thread of the
+    process. The previous counts are restored when the block exits, normally
+    or by an exception. Without an OpenBLAS whose setter is found it does
+    nothing.
+    """
+    controls = openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 def random_orthonormal(n, r, rng):

@@ -157,7 +157,12 @@ def least_squares_on_support(op, y, support):
     LAPACK potrf factors the Gram matrix D^T D and potrs gives M. With
     g = Qu^-1 U and h = Qv^-1 V, Gaussian sensing forms the Gram from the
     explicit p x (k_u * k_v) design in about p k^4 flops, and measure(M') is
-    D vec(M'). For completion row i of D is g[r_i] kron h[c_i]. With the rows
+    D vec(M'). Row i of that design is vec(g^T A_i h) for the sensing matrix
+    A_i, formed as (g^T A_i) h. Both orders cost about 2 p k n^2 flops, but
+    on one core at n = 80, p = 2560, k = 9, where the design pass dominates a
+    solve, this one took 23 ms against 30 ms for g^T (A_i h).
+
+    For completion row i of D is g[r_i] kron h[c_i]. With the rows
     of GG and HH holding g_r kron g_r and h_c kron h_c and S the 0/1 sampling
     mask, D^T D is GG^T S HH reordered to the (i, j), (i', j') index order,
     and D^T y = vec(g^T Y h) for the scattered measurements Y: about n k^4
@@ -202,7 +207,7 @@ def least_squares_on_support(op, y, support):
         if coef is None:
             design = (g[rows][:, :, None] * h[cols][:, None, :]).reshape(base.p, -1)
     else:
-        design = np.matmul(g.T, base.mats @ h).reshape(base.p, -1)
+        design = np.matmul(np.matmul(g.T, base.mats), h).reshape(base.p, -1)
 
         def measure(m):
             return design @ m.ravel()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from subrec import bench
+from subrec import bench, linalg
 from subrec.bench import (
     Scenario,
     builtin_presets,
@@ -239,6 +239,85 @@ def test_threads_env_var(monkeypatch):
     assert bench.resolve_threads(2) == 2
     monkeypatch.delenv(bench.THREADS_ENV)
     assert bench.resolve_threads(None) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {bad}"):
+            bench.resolve_threads(bad)
+    for bad in ("0", "-3"):
+        monkeypatch.setenv(bench.THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=f"{bench.THREADS_ENV} must be at least 1, got {bad}"):
+            bench.resolve_threads(None)
+        # An explicit count wins over a bad environment value.
+        assert bench.resolve_threads(2) == 2
+    for bad in ("abc", "2.5"):
+        monkeypatch.setenv(bench.THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=f"{bench.THREADS_ENV} must be an integer, got '{bad}'"):
+            bench.resolve_threads(None)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_grid(small_scenario(), threads=0)
+
+
+def _blas_counts():
+    return [get() for get, _ in linalg.openblas_thread_controls()]
+
+
+def _set_blas_counts(counts):
+    for (_, set_), count in zip(linalg.openblas_thread_controls(), counts):
+        set_(count)
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Every loaded OpenBLAS at two threads for the test, restored afterwards."""
+    original = _blas_counts()
+    _set_blas_counts([2] * len(original))
+    yield
+    _set_blas_counts(original)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_grid_runs_every_trial_on_one_blas_thread(monkeypatch, blas_two_threads, threads):
+    seen = []
+    real_run_trial = bench.run_trial
+
+    def spy(instance, solver, scenario):
+        start = _blas_counts()
+        row = real_run_trial(instance, solver, scenario)
+        seen.append((start, _blas_counts()))
+        return row
+
+    monkeypatch.setattr(bench, "run_trial", spy)
+    report = run_grid(small_scenario(trials=2), threads=threads)
+    assert len(seen) == len(report.trials) == 4
+    if not linalg.openblas_thread_controls():
+        pytest.skip("no OpenBLAS thread setter found; the pin is a no-op")
+    ones = [1] * len(linalg.openblas_thread_controls())
+    assert all(start == end == ones for start, end in seen)
+    assert _blas_counts() == [2] * len(ones)
+
+
+def test_run_grid_restores_blas_threads_when_a_cell_raises(monkeypatch, blas_two_threads):
+    def broken(scenario, ratio, trial_index):
+        raise RuntimeError("instance generation failed")
+
+    monkeypatch.setattr(bench, "generate_instance", broken)
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="instance generation failed"):
+            run_grid(small_scenario(), threads=threads)
+        if not linalg.openblas_thread_controls():
+            pytest.skip("no OpenBLAS thread setter found; the pin is a no-op")
+        assert _blas_counts() == [2] * len(linalg.openblas_thread_controls())
+
+
+def test_run_grid_without_blas_setter_returns_the_same_rows(monkeypatch):
+    sc = small_scenario(trials=2)
+    # Under an outer pin the BLAS state is the same with and without a setter.
+    with linalg.single_blas_thread():
+        pinned = _strip_wall_time(report_to_dict(run_grid(sc, threads=1)))
+        monkeypatch.setattr(linalg, "openblas_thread_controls", lambda: ())
+        serial = _strip_wall_time(report_to_dict(run_grid(sc, threads=1)))
+        pooled = _strip_wall_time(report_to_dict(run_grid(sc, threads=2)))
+    assert serial == pinned
+    assert pooled == pinned
 
 
 def test_weighted_solver_succeeds_at_moderate_sampling():

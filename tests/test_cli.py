@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -70,6 +71,24 @@ def test_bench_command_rejects_bad_config(tmp_path, capsys):
     assert main(["bench", str(missing)]) == 1
 
 
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        (["--threads", "0"], None, "threads must be at least 1, got 0"),
+        (["--threads", "-3"], None, "threads must be at least 1, got -3"),
+        ([], "0", f"{bench.THREADS_ENV} must be at least 1, got 0"),
+        ([], "abc", f"{bench.THREADS_ENV} must be an integer, got 'abc'"),
+    ],
+)
+def test_bench_command_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, args, env, message):
+    if env is not None:
+        monkeypatch.setenv(bench.THREADS_ENV, env)
+    out = tmp_path / "report.json"
+    assert main(["bench", str(_tiny_scenario_file(tmp_path)), "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"subrec bench: {message}\n"
+    assert not out.exists()
+
+
 def test_bench_command_runtime_failure_exit_code(tmp_path):
     scenario = _tiny_scenario_file(tmp_path, trials=1, solvers=["admira"])
     code = main(["bench", str(scenario), "--out", "/nonexistent-dir/report.json"])
@@ -87,6 +106,33 @@ def test_recover_from_preset(capsys):
     out = capsys.readouterr().out
     assert "snr_db=" in out and "iterations=" in out
     assert "success=True" in out
+
+
+def test_recover_trial_equals_its_grid_row(monkeypatch, capsys):
+    # Gaussian n = 30 at ratio 0.8 is a shape where threaded BLAS kernels give
+    # other last bits than one thread, so this holds only because recover runs
+    # under the same one-thread pin as run_grid.
+    scenario = dataclasses.replace(
+        bench.builtin_presets()["close_close"], sampling_ratios=(0.8,), trials=1
+    )
+    grid_rows = {row.solver: row for row in bench.run_grid(scenario).trials}
+    recovered = []
+    real_run_trial = bench.run_trial
+
+    def capture(instance, solver, sc):
+        recovered.append(real_run_trial(instance, solver, sc))
+        return recovered[-1]
+
+    monkeypatch.setattr(bench, "run_trial", capture)
+    for solver in bench.SOLVER_IDS:
+        assert main(["recover", "--preset", "close_close", "--ratio", "0.8", "--trial", "0",
+                     "--solver", solver]) == 0
+    capsys.readouterr()
+    assert len(recovered) == len(bench.SOLVER_IDS)
+    for row in recovered:
+        got, want = dataclasses.asdict(row), dataclasses.asdict(grid_rows[row.solver])
+        del got["wall_time"], want["wall_time"]
+        assert got == want
 
 
 def test_recover_from_matrix_file(tmp_path, capsys):
