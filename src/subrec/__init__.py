@@ -10,9 +10,7 @@ benchmark harness.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ConvergenceReport,
     convergence_factor,
-    convergence_report,
     delta_for_rate,
     delta_threshold,
     error_bound,
@@ -71,7 +69,6 @@ from .weighting import (
 )
 
 __all__ = [
-    "ConvergenceReport",
     "Instance",
     "MeasurementOperator",
     "Report",
@@ -89,7 +86,6 @@ __all__ = [
     "build_weight_operator",
     "builtin_presets",
     "convergence_factor",
-    "convergence_report",
     "delta_for_rate",
     "delta_threshold",
     "error_bound",

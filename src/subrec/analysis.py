@@ -1,7 +1,6 @@
 """Convergence constants of the weighted greedy loop, error bounds, and SNR."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,26 +80,3 @@ def snr_db(truth, estimate):
         return math.inf
     return 20.0 * math.log10(ref / err)
 
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Constants governing the iteration at a given isometry constant."""
-
-    delta: float
-    rho: float
-    converges: bool
-    proxy_noise_coeff: float
-    residual_noise_coeff: float
-
-
-def convergence_report(delta):
-    """Bundle the contraction factor and noise coefficients for ``delta``."""
-    rho = convergence_factor(delta)
-    d2 = delta * delta
-    return ConvergenceReport(
-        delta=delta,
-        rho=rho,
-        converges=rho < 1.0,
-        proxy_noise_coeff=math.sqrt(2.0 * (1.0 + 3.0 * d2) / (1.0 - d2)),
-        residual_noise_coeff=2.0 / (1.0 - delta),
-    )

@@ -9,7 +9,6 @@ thread count.
 
 import json
 import math
-import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,8 +34,6 @@ from .weighting import PER_DIRECTION, SINGLE, WeightSpec, angles_to_weights, bui
 # Success criterion: normalized error <= 1e-2 reached within 20 iterations.
 SUCCESS_ERROR = 1e-2
 SUCCESS_ITERATIONS = 20
-
-THREADS_ENV = "SUBREC_THREADS"
 
 SOLVER_IDS = ("admira", "rmspi", "grmspi")
 PRIOR_MODES = ("close_close", "far_far", "close_far", "far_close", "none")
@@ -225,10 +222,6 @@ def generate_instance(scenario, ratio, trial_index):
     """
     n, r = scenario.n, scenario.rank
     p = measurement_count(n, ratio)
-    if p < 1:
-        raise ValueError(f"sampling ratio {ratio} yields no measurements")
-    if scenario.operator_kind == COMPLETION and p > n * n:
-        raise ValueError(f"cannot sample {p} distinct entries from {n * n}")
     key = (int(scenario.master_seed), _ratio_key(ratio), int(trial_index))
 
     rng_truth = np.random.default_rng((*key, 0))
@@ -324,7 +317,7 @@ class TrialResult:
 def _operator_echo(operator):
     return {
         "kind": operator.kind,
-        "n": operator.n_rows,
+        "n": operator.n,
         "p": operator.p,
         "seed": None if operator.seed is None else list(operator.seed),
     }
@@ -337,14 +330,18 @@ def run_trial(instance, solver, scenario):
     they never propagate, so a grid cannot abort half way.
     """
     config = solver_config(scenario, instance, solver)
+    common = {
+        "solver": solver,
+        "ratio": instance.ratio,
+        "trial_index": instance.trial_index,
+        "operator": _operator_echo(instance.operator),
+    }
     start = time.perf_counter()
     try:
         run = solve(instance.operator, instance.y, config)
     except Exception as exc:  # noqa: BLE001 - any solver failure becomes a failed trial
         return TrialResult(
-            solver=solver,
-            ratio=instance.ratio,
-            trial_index=instance.trial_index,
+            **common,
             success=False,
             iterations_to_success=None,
             snr_db=-math.inf,
@@ -352,7 +349,6 @@ def run_trial(instance, solver, scenario):
             normalized_error=math.inf,
             stop_reason="error",
             diagnostic=f"{type(exc).__name__}: {exc}",
-            operator=_operator_echo(instance.operator),
         )
     wall = time.perf_counter() - start
     truth_norm = np.linalg.norm(instance.truth)
@@ -365,19 +361,15 @@ def run_trial(instance, solver, scenario):
         if np.linalg.norm(instance.truth - est) / truth_norm <= SUCCESS_ERROR:
             iterations_to_success = k
             break
-    success = iterations_to_success is not None
     return TrialResult(
-        solver=solver,
-        ratio=instance.ratio,
-        trial_index=instance.trial_index,
-        success=success,
+        **common,
+        success=iterations_to_success is not None,
         iterations_to_success=iterations_to_success,
         snr_db=analysis.snr_db(instance.truth, run.estimate),
         wall_time=wall,
         normalized_error=normalized_error,
         stop_reason=run.stop_reason,
         iterations_run=run.iterations,
-        operator=_operator_echo(instance.operator),
     )
 
 
@@ -398,29 +390,16 @@ class Report:
     trials: list
 
 
-def resolve_threads(threads=None):
-    """Thread count for the trial pool: explicit arg, else env var, else 1.
-
-    Raises ValueError, naming the source, for a count below 1 or a
-    non-integer environment value.
-    """
-    source = "threads"
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if not env:
-            return 1
-        source = THREADS_ENV
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    threads = int(threads)
+def resolve_threads(threads):
+    """The trial pool size as an int; ValueError unless it is an integer of at least 1."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
+        raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
-        raise ValueError(f"{source} must be at least 1, got {threads}")
-    return threads
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return int(threads)
 
 
-def run_grid(scenario, threads=None):
+def run_grid(scenario, threads=1):
     """Execute the full (solver, ratio, trial) cross product of a scenario.
 
     Trials are independent; with threads > 1 they run on a thread pool, and

@@ -60,7 +60,7 @@ def build_parser():
     ben.add_argument("--csv", help="also write per-(solver, ratio) aggregate CSV here")
     ben.add_argument("--trials", type=int, help="override the scenario's trial count")
     ben.add_argument("--seed", type=int, help="override the scenario's master seed")
-    ben.add_argument("--threads", type=int, help=f"trial pool size (default ${bench.THREADS_ENV} or 1)")
+    ben.add_argument("--threads", type=int, default=1, help="trial pool size (default 1)")
     ben.set_defaults(func=_cmd_bench)
 
     rip = sub.add_parser("rip", help="empirical isometry survey")
@@ -128,20 +128,20 @@ def _matrix_trial(args):
         raise ValueError(f"matrix file {args.matrix} contains NaN or Inf entries")
     if args.rank is None:
         raise ValueError("--rank is required with --matrix")
-    n_rows, n_cols = matrix.shape
-    if n_rows != n_cols:
-        raise ValueError("recover currently expects a square matrix")
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError("recover expects a square matrix")
     rank = args.rank
-    if not 1 <= rank <= n_rows // 2:
-        raise ValueError(f"rank must lie in [1, {n_rows // 2}] for prior construction")
+    if not 1 <= rank <= n // 2:
+        raise ValueError(f"rank must lie in [1, {n // 2}] for prior construction")
     theta_u = args.theta_u if args.theta_u else (5.0,) * rank
     theta_v = args.theta_v if args.theta_v else (5.0,) * rank
     if len(theta_u) != rank or len(theta_v) != rank:
         raise ValueError("need one prior angle per rank direction")
     if any(not 0.0 <= t <= 90.0 for t in theta_u + theta_v):
         raise ValueError("prior angles must lie in [0, 90] degrees")
-    p = bench.measurement_count(n_rows, args.ratio)
-    operator = bench.make_operator(args.kind, n_rows, p, (args.seed, 1))
+    p = bench.measurement_count(n, args.ratio)
+    operator = bench.make_operator(args.kind, n, p, (args.seed, 1))
 
     u, _, vh = svd(matrix)
     truth_u, truth_v = u[:, :rank], vh[:rank].T
@@ -153,7 +153,7 @@ def _matrix_trial(args):
         ratio=args.ratio, trial_index=0, seed=(args.seed,),
     )
     scenario = bench.Scenario(
-        name="matrix", n=n_rows, rank=rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
+        name="matrix", n=n, rank=rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
         theta_u=theta_u, theta_v=theta_v, trials=1,
     )
     return scenario, instance

@@ -18,15 +18,14 @@ COMPLETION = "completion"
 
 @dataclass(eq=False)
 class MeasurementOperator:
-    """Linear map from (n_rows, n_cols) matrices to R^p with an adjoint.
+    """Linear map from square n x n matrices to R^p with an adjoint.
 
     ``seed`` records the seed material the operator was built from, when
     known, so reports can persist (kind, n, p, seed) instead of the payload.
     """
 
     kind: str
-    n_rows: int
-    n_cols: int
+    n: int
     p: int
     mats: np.ndarray = None
     indices: np.ndarray = None
@@ -35,8 +34,8 @@ class MeasurementOperator:
     def apply(self, x):
         """Measure a matrix: y_i = <x, A_i>_F (Gaussian) or sampled entries."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_rows, self.n_cols):
-            raise ValueError(f"expected shape {(self.n_rows, self.n_cols)}, got {x.shape}")
+        if x.shape != (self.n, self.n):
+            raise ValueError(f"expected shape {(self.n, self.n)}, got {x.shape}")
         if self.kind == COMPLETION:
             return x[self.indices[:, 0], self.indices[:, 1]].copy()
         return self.mats.reshape(self.p, -1) @ x.ravel()
@@ -47,10 +46,10 @@ class MeasurementOperator:
         if y.shape != (self.p,):
             raise ValueError(f"expected {self.p} measurements, got shape {y.shape}")
         if self.kind == COMPLETION:
-            out = np.zeros((self.n_rows, self.n_cols))
+            out = np.zeros((self.n, self.n))
             out[self.indices[:, 0], self.indices[:, 1]] = y
             return out
-        return (y @ self.mats.reshape(self.p, -1)).reshape(self.n_rows, self.n_cols)
+        return (y @ self.mats.reshape(self.p, -1)).reshape(self.n, self.n)
 
 
 def make_gaussian(n, p, rng):
@@ -64,7 +63,7 @@ def make_gaussian(n, p, rng):
     seed = None if isinstance(rng, np.random.Generator) else rng
     gen = as_generator(rng)
     mats = gen.normal(0.0, 1.0 / np.sqrt(p), size=(p, n, n))
-    return MeasurementOperator(GAUSSIAN, n, n, p, mats=mats, seed=seed)
+    return MeasurementOperator(GAUSSIAN, n, p, mats=mats, seed=seed)
 
 
 def make_completion(n, p, rng):
@@ -75,13 +74,13 @@ def make_completion(n, p, rng):
     gen = as_generator(rng)
     flat = gen.choice(n * n, size=p, replace=False)
     indices = np.column_stack(np.divmod(flat, n)).astype(np.intp)
-    return MeasurementOperator(COMPLETION, n, n, p, indices=indices, seed=seed)
+    return MeasurementOperator(COMPLETION, n, p, indices=indices, seed=seed)
 
 
 def make_identity_sensing(n):
     """Exact-isometry sensing: the p = n^2 canonical basis matrices."""
     mats = np.eye(n * n).reshape(n * n, n, n)
-    return MeasurementOperator(GAUSSIAN, n, n, n * n, mats=mats)
+    return MeasurementOperator(GAUSSIAN, n, n * n, mats=mats)
 
 
 @dataclass(eq=False)
@@ -101,9 +100,9 @@ class WeightedOperator:
         # value but turns -0.0 into +0.0, and the sign of a zero steers the
         # Householder reflectors of LAPACK's SVD and gelsd, so unit weights
         # would not reproduce the unweighted loop bit for bit.
-        if self.qu_inv is not None and np.array_equal(self.qu_inv, np.eye(self.n_rows)):
+        if self.qu_inv is not None and np.array_equal(self.qu_inv, np.eye(self.n)):
             self.qu_inv = None
-        if self.qv_inv is not None and np.array_equal(self.qv_inv, np.eye(self.n_cols)):
+        if self.qv_inv is not None and np.array_equal(self.qv_inv, np.eye(self.n)):
             self.qv_inv = None
 
     @property
@@ -111,12 +110,8 @@ class WeightedOperator:
         return self.base.p
 
     @property
-    def n_rows(self):
-        return self.base.n_rows
-
-    @property
-    def n_cols(self):
-        return self.base.n_cols
+    def n(self):
+        return self.base.n
 
     def deweight(self, z):
         """The two-sided inverse weighting map Z -> Qu^-1 Z Qv^-1."""
@@ -150,8 +145,8 @@ class RipEstimate:
     ratio_max: float
 
 
-def random_low_rank(n_rows, n_cols, rank, rng, sigma_range=(0.1, 1.0)):
-    """Random rank-``rank`` matrix with Haar factors and uniform spectrum.
+def random_low_rank(n_rows, n_cols, rank, rng):
+    """Random rank-``rank`` matrix with Haar factors and spectrum uniform in [0.1, 1].
 
     Singular values stay bounded away from zero so isometry ratios are not
     dominated by near-zero matrices.
@@ -159,7 +154,7 @@ def random_low_rank(n_rows, n_cols, rank, rng, sigma_range=(0.1, 1.0)):
     gen = as_generator(rng)
     u = random_orthonormal(n_rows, rank, gen)
     v = random_orthonormal(n_cols, rank, gen)
-    sigma = gen.uniform(sigma_range[0], sigma_range[1], size=rank)
+    sigma = gen.uniform(0.1, 1.0, size=rank)
     return (u * sigma) @ v.T
 
 
@@ -172,9 +167,7 @@ def estimate_rip(op, rank, samples, rng=None, sample_mats=None):
     """
     if sample_mats is None:
         gen = as_generator(rng)
-        sample_mats = [
-            random_low_rank(op.n_rows, op.n_cols, rank, gen) for _ in range(samples)
-        ]
+        sample_mats = [random_low_rank(op.n, op.n, rank, gen) for _ in range(samples)]
     ratios = []
     for x in sample_mats:
         y = op.apply(x)

@@ -63,8 +63,8 @@ class Support:
     right: np.ndarray
 
     @classmethod
-    def empty(cls, n_rows, n_cols):
-        return cls(np.zeros((n_rows, 0)), np.zeros((n_cols, 0)))
+    def empty(cls, n):
+        return cls(np.zeros((n, 0)), np.zeros((n, 0)))
 
     @property
     def dims(self):
@@ -131,7 +131,7 @@ def identify_support(proxy, k):
         raise ValueError("support size must be at least 1")
     proxy = np.asarray(proxy, dtype=float)
     if not proxy.any():
-        return Support.empty(*proxy.shape)
+        return Support.empty(proxy.shape[0])
     u, s, vh = linalg.svd(proxy)
     k = min(k, s.size)
     return Support(u[:, :k], vh[:k].T)
@@ -222,13 +222,13 @@ def least_squares_on_support(op, y, support):
 def _completion_normal_equations(base, g, h, y):
     """D^T D and D^T y of a completion design, assembled from the sampling mask."""
     rows, cols = base.indices[:, 0], base.indices[:, 1]
-    mask = np.zeros((base.n_rows, base.n_cols))
+    mask = np.zeros((base.n, base.n))
     mask[rows, cols] = 1.0
-    scattered = np.zeros((base.n_rows, base.n_cols))
+    scattered = np.zeros((base.n, base.n))
     scattered[rows, cols] = y
     k_u, k_v = g.shape[1], h.shape[1]
-    gg = (g[:, :, None] * g[:, None, :]).reshape(base.n_rows, k_u * k_u)
-    hh = (h[:, :, None] * h[:, None, :]).reshape(base.n_cols, k_v * k_v)
+    gg = (g[:, :, None] * g[:, None, :]).reshape(base.n, k_u * k_u)
+    hh = (h[:, :, None] * h[:, None, :]).reshape(base.n, k_v * k_v)
     # Entry (i i', j j') of GG^T S HH is the Gram entry ((i, j), (i', j')).
     gram = (gg.T @ (mask @ hh)).reshape(k_u, k_u, k_v, k_v).transpose(0, 2, 1, 3)
     return gram.reshape(k_u * k_v, k_u * k_v), (g.T @ scattered @ h).ravel()
@@ -272,20 +272,20 @@ def solve(operator, y, config):
     y = np.asarray_chkfinite(y, dtype=float)
     if y.shape != (operator.p,):
         raise ValueError(f"expected {operator.p} measurements, got shape {y.shape}")
-    n_rows, n_cols = operator.n_rows, operator.n_cols
+    n = operator.n
     r = config.rank
-    if r > min(n_rows, n_cols):
-        raise ValueError(f"rank {r} exceeds matrix dimensions {(n_rows, n_cols)}")
+    if r > n:
+        raise ValueError(f"rank {r} exceeds matrix dimension {n}")
 
     if config.weighting is None:
         wop = WeightedOperator(operator)
     else:
         qu, qv = config.weighting
-        if qu.q.shape != (n_rows, n_rows) or qv.q.shape != (n_cols, n_cols):
+        if qu.q.shape != (n, n) or qv.q.shape != (n, n):
             raise ValueError("weighting operators do not match the matrix shape")
         wop = WeightedOperator(operator, qu.q_inv, qv.q_inv)
 
-    support = Support.empty(n_rows, n_cols)
+    support = Support.empty(n)
     y_norm = float(np.linalg.norm(y))
     residual = y.copy()
     trace = []
@@ -309,8 +309,8 @@ def solve(operator, y, config):
             x_hat = (support.left * s[:r]) @ support.right.T
             residual = y - measure(coef_r)
         else:
-            x_hat = np.zeros((n_rows, n_cols))
-            support = Support.empty(n_rows, n_cols)
+            x_hat = np.zeros((n, n))
+            support = Support.empty(n)
             residual = y.copy()
         # Drop the Gaussian design (held by measure) before the next iteration
         # assembles another, so two never coexist (on a large Gaussian operator

@@ -67,15 +67,6 @@ class WeightSpec:
         """Number of weighted directions per side, or None in single mode."""
         return None if self.mode == SINGLE else len(self.span_weights)
 
-    def to_config(self):
-        return {
-            "mode": self.mode,
-            "span_weights": self.span_weights if self.mode == SINGLE else list(self.span_weights),
-            "complement_weights": self.complement_weights
-            if self.mode == SINGLE
-            else list(self.complement_weights),
-        }
-
     @classmethod
     def from_config(cls, cfg):
         extra = set(cfg) - {"mode", "span_weights", "complement_weights"}
@@ -96,8 +87,6 @@ class WeightOperator:
     whole complement is weighted uniformly).
     """
 
-    prior: np.ndarray
-    spec: WeightSpec
     q: np.ndarray
     q_inv: np.ndarray
     weighted_complement: np.ndarray = None
@@ -128,7 +117,7 @@ def build_weight_operator(prior, spec, complement_reference=None, rng=None):
         p_span = prior @ prior.T
         q = w_comp * eye + (w_span - w_comp) * p_span
         q_inv = (1.0 / w_comp) * eye + (1.0 / w_span - 1.0 / w_comp) * p_span
-        return WeightOperator(prior, spec, q, q_inv, None)
+        return WeightOperator(q, q_inv)
 
     if spec.rank != r:
         raise ValueError(f"spec carries {spec.rank} weights but prior has rank {r}")
@@ -144,7 +133,7 @@ def build_weight_operator(prior, spec, complement_reference=None, rng=None):
         + (prior * (1.0 / w_span - 1.0)) @ prior.T
         + (dirs * (1.0 / w_comp - 1.0)) @ dirs.T
     )
-    return WeightOperator(prior, spec, q, q_inv, dirs)
+    return WeightOperator(q, q_inv, dirs)
 
 
 def _weighted_complement_directions(prior, reference, rng):

@@ -119,12 +119,12 @@ def test_criterion_3_weighted_isometry_identities():
 def _dense_pinv_oracle(wop, y, support):
     """Independent least-squares route: looped rows, explicit SVD pseudo-inverse."""
     base = wop.base
-    qu = np.eye(base.n_rows) if wop.qu_inv is None else wop.qu_inv
-    qv = np.eye(base.n_cols) if wop.qv_inv is None else wop.qv_inv
+    qu = np.eye(base.n) if wop.qu_inv is None else wop.qu_inv
+    qv = np.eye(base.n) if wop.qv_inv is None else wop.qv_inv
     rows = []
     for i in range(base.p):
         if base.kind == "completion":
-            a_i = np.zeros((base.n_rows, base.n_cols))
+            a_i = np.zeros((base.n, base.n))
             a_i[base.indices[i, 0], base.indices[i, 1]] = 1.0
         else:
             a_i = base.mats[i]

@@ -5,7 +5,6 @@ import pytest
 
 from subrec.analysis import (
     convergence_factor,
-    convergence_report,
     delta_for_rate,
     delta_threshold,
     error_bound,
@@ -64,14 +63,6 @@ def test_error_bound_monotonicities():
     assert all(b <= a for a, b in zip(bounds, bounds[1:]))
     assert error_bound(0.3, 2, 1.0, 0.2, 0.1) > error_bound(0.3, 2, 1.0, 0.1, 0.1)
     assert error_bound(0.3, 2, 1.0, 0.1, 0.2) > error_bound(0.3, 2, 1.0, 0.1, 0.1)
-
-
-def test_convergence_report_fields():
-    rep = convergence_report(0.04)
-    assert rep.converges and rep.rho < 1.0
-    assert abs(rep.rho - convergence_factor(0.04)) == 0.0
-    assert abs(rep.residual_noise_coeff - 2.0 / 0.96) <= 1e-15
-    assert not convergence_report(0.6).converges
 
 
 def test_snr_values():

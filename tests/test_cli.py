@@ -76,13 +76,11 @@ def test_bench_command_rejects_bad_config(tmp_path, capsys):
     [
         (["--threads", "0"], None, "threads must be at least 1, got 0"),
         (["--threads", "-3"], None, "threads must be at least 1, got -3"),
-        ([], "0", f"{bench.THREADS_ENV} must be at least 1, got 0"),
-        ([], "abc", f"{bench.THREADS_ENV} must be an integer, got 'abc'"),
     ],
 )
-def test_bench_command_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, args, env, message):
-    if env is not None:
-        monkeypatch.setenv(bench.THREADS_ENV, env)
+def test_bench_command_rejects_bad_thread_count(tmp_path, capsys, args, env, message):
+    # ``env`` is None in every case and kept only for the case ids: no
+    # environment variable sets the pool size.
     out = tmp_path / "report.json"
     assert main(["bench", str(_tiny_scenario_file(tmp_path)), "--out", str(out), *args]) == 1
     assert capsys.readouterr().err == f"subrec bench: {message}\n"
@@ -106,6 +104,12 @@ def test_recover_from_preset(capsys):
     out = capsys.readouterr().out
     assert "snr_db=" in out and "iterations=" in out
     assert "success=True" in out
+
+
+def test_recover_from_preset_rejects_out_of_range_ratio(capsys):
+    code = main(["recover", "--preset", "close_close_completion", "--ratio", "1.5"])
+    assert code == 1
+    assert capsys.readouterr().err == "subrec recover: measurement count 1350 outside [1, 900]\n"
 
 
 def test_recover_trial_equals_its_grid_row(monkeypatch, capsys):
@@ -155,11 +159,17 @@ def test_recover_matrix_errors(tmp_path, capsys):
     bench.write_matrix_csv(rng.standard_normal((6, 6)), path)
     assert main(["recover", "--matrix", str(path)]) == 1  # missing --rank
     assert main(["recover", "--matrix", str(tmp_path / "none.csv"), "--rank", "1"]) == 1
+    capsys.readouterr()
     rect = tmp_path / "rect.csv"
     bench.write_matrix_csv(rng.standard_normal((4, 6)), rect)
-    assert main(["recover", "--matrix", str(rect), "--rank", "1"]) == 1
-    assert main(["recover", "--matrix", str(path), "--rank", "1", "--theta-u", "95"]) == 1
-    capsys.readouterr()
+    for args, message in (
+        ([str(rect), "--rank", "1"], "recover expects a square matrix"),
+        ([str(path), "--rank", "0"], "rank must lie in [1, 3] for prior construction"),
+        ([str(path), "--rank", "4"], "rank must lie in [1, 3] for prior construction"),
+        ([str(path), "--rank", "1", "--theta-u", "95"], "prior angles must lie in [0, 90] degrees"),
+    ):
+        assert main(["recover", "--matrix", *args]) == 1
+        assert capsys.readouterr().err == f"subrec recover: {message}\n"
     code = main(["recover", "--matrix", str(path), "--rank", "1", "--kind", "completion",
                  "--ratio", "1.5"])
     assert code == 1

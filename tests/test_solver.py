@@ -80,7 +80,7 @@ def test_merge_support_idempotent():
 def test_merge_support_with_empty():
     rng = np.random.default_rng(3)
     sup = Support(random_orthonormal(6, 2, rng), random_orthonormal(6, 2, rng))
-    merged = merge_support(sup, Support.empty(6, 6))
+    merged = merge_support(sup, Support.empty(6))
     assert merged.dims == (2, 2)
     assert np.allclose(merged.left @ merged.left.T, sup.left @ sup.left.T, atol=1e-10)
 
@@ -100,7 +100,7 @@ def test_least_squares_zero_measurements():
     out = _ls_estimate(op, np.zeros(12), sup)
     assert np.allclose(out, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
-        least_squares_on_support(op, np.zeros(12), Support.empty(6, 6))
+        least_squares_on_support(op, np.zeros(12), Support.empty(6))
 
 
 def test_least_squares_recovers_truth_in_span():
@@ -120,12 +120,12 @@ def test_least_squares_recovers_truth_in_span():
 def _oracle_design(wop, sup):
     """Row-by-row dense design: row i is vec(U^T Qu^-1 A_i Qv^-1 V)."""
     base = wop.base
-    qu = np.eye(base.n_rows) if wop.qu_inv is None else wop.qu_inv
-    qv = np.eye(base.n_cols) if wop.qv_inv is None else wop.qv_inv
+    qu = np.eye(base.n) if wop.qu_inv is None else wop.qu_inv
+    qv = np.eye(base.n) if wop.qv_inv is None else wop.qv_inv
     rows = []
     for i in range(base.p):
         if base.kind == "completion":
-            a_i = np.zeros((base.n_rows, base.n_cols))
+            a_i = np.zeros((base.n, base.n))
             a_i[base.indices[i, 0], base.indices[i, 1]] = 1.0
         else:
             a_i = base.mats[i]
@@ -428,7 +428,7 @@ def test_least_squares_rank_deficient_tall_designs_take_gelsd(n, k_u, k_v, overs
     rng = np.random.default_rng(seed)
     mats = rng.standard_normal((p, n, n)) / np.sqrt(p)
     mats[:, 0, :] = 0.0
-    op = MeasurementOperator(GAUSSIAN, n, n, p, mats=mats)
+    op = MeasurementOperator(GAUSSIAN, n, p, mats=mats)
     sup = Support(_with_e0(n, k_u, rng), random_orthonormal(n, k_v, rng))
     _check_against_oracle(WeightedOperator(op), rng.standard_normal(p), sup, 1)
 
@@ -526,7 +526,7 @@ def test_completion_normal_equations_match_explicit_design(
         p = data.draw(st.integers(1, len(cells)), label="p")
         chosen = rng.choice(len(cells), size=p, replace=False)
         indices = np.array([cells[i] for i in chosen], dtype=np.intp)
-        op = MeasurementOperator(COMPLETION, n, n, p, indices=indices)
+        op = MeasurementOperator(COMPLETION, n, p, indices=indices)
     wop = _weighted(op, n, rng, span_weight)
     sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
     y = rng.standard_normal(op.p)
