@@ -39,7 +39,6 @@ from .linalg import (
     principal_angles,
     random_orthonormal,
     svd,
-    truncate_rank,
 )
 from .operators import (
     MeasurementOperator,
@@ -111,7 +110,6 @@ __all__ = [
     "snr_db",
     "solve",
     "svd",
-    "truncate_rank",
     "write_matrix_csv",
     "write_report_csv",
     "write_report_json",

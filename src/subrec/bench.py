@@ -36,8 +36,8 @@ SUCCESS_ERROR = 1e-2
 SUCCESS_ITERATIONS = 20
 
 SOLVER_IDS = ("admira", "rmspi", "grmspi")
-PRIOR_MODES = ("close_close", "far_far", "close_far", "far_close", "none")
 IDENTITY = "identity"
+WEIGHT_FIELDS = ("rmspi_weights_u", "rmspi_weights_v", "grmspi_weights_u", "grmspi_weights_v")
 
 # Preset principal angles (degrees, ascending) for the close and far prior
 # scenarios; one pair per scenario family.
@@ -49,7 +49,12 @@ FAR_CLOSE_THETA = ((89.8622, 89.9070, 89.9940), (2.4270, 3.0595, 3.6860))
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full specification of one benchmark study."""
+    """Full specification of one benchmark study; construction validates it.
+
+    Null ``theta_u`` and ``theta_v`` mean no priors, which only admira runs
+    without. Every rule raises ValueError, so no invalid Scenario exists,
+    whether built directly, by ``dataclasses.replace`` or from a config.
+    """
 
     name: str = "custom"
     n: int = 30
@@ -57,7 +62,6 @@ class Scenario:
     operator_kind: str = GAUSSIAN
     sampling_ratios: tuple = (0.2, 0.4, 0.6, 0.8)
     noise_level: float = 0.0
-    prior_mode: str = "close_close"
     theta_u: tuple = CLOSE_CLOSE_THETA[0]
     theta_v: tuple = CLOSE_CLOSE_THETA[1]
     rmspi_weights_u: WeightSpec = None
@@ -75,55 +79,58 @@ class Scenario:
             object.__setattr__(self, "theta_u", tuple(float(t) for t in self.theta_u))
         if self.theta_v is not None:
             object.__setattr__(self, "theta_v", tuple(float(t) for t in self.theta_v))
+        for key in WEIGHT_FIELDS:
+            if isinstance(getattr(self, key), dict):
+                object.__setattr__(self, key, WeightSpec.from_config(getattr(self, key)))
 
-    def to_config(self):
-        return asdict(self)
+        has_priors = self.theta_u is not None or self.theta_v is not None
+        if self.n < 1:
+            raise ValueError("dimension must be positive")
+        max_rank = self.n // 2 if has_priors else self.n
+        if not 1 <= self.rank <= max_rank:
+            suffix = " to build priors" if has_priors else ""
+            raise ValueError(f"rank must lie in [1, {max_rank}]{suffix}")
+        if self.operator_kind not in (GAUSSIAN, COMPLETION):
+            raise ValueError(f"unknown operator kind {self.operator_kind!r}")
+        if not self.sampling_ratios:
+            raise ValueError("need at least one sampling ratio")
+        for ratio in self.sampling_ratios:
+            if not 0.0 < ratio <= 1.0:
+                raise ValueError(f"sampling ratio {ratio} outside (0, 1]")
+            if measurement_count(self.n, ratio) < 1:
+                raise ValueError(f"sampling ratio {ratio} gives no measurements at n = {self.n}")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.noise_level}")
+        if self.trials < 1:
+            raise ValueError("need at least one trial")
+        for solver in self.solvers:
+            if solver not in SOLVER_IDS:
+                raise ValueError(f"unknown solver {solver!r}")
+        for key in WEIGHT_FIELDS:
+            spec = getattr(self, key)
+            if spec is not None and spec.rank not in (None, self.rank):
+                raise ValueError(
+                    f"{key} carries {spec.rank} per-direction weights for rank {self.rank}"
+                )
+        if not has_priors:
+            if any(s != "admira" for s in self.solvers):
+                raise ValueError("rmspi and grmspi need prior angles theta_u and theta_v")
+            return
+        for theta in (self.theta_u, self.theta_v):
+            if theta is None or len(theta) != self.rank:
+                raise ValueError(
+                    f"theta_u and theta_v need one prior angle per rank direction "
+                    f"({self.rank} each), or both null for no priors"
+                )
+            if any(not 0.0 <= t <= 90.0 for t in theta):
+                raise ValueError("prior angles must lie in [0, 90] degrees")
 
     @classmethod
     def from_config(cls, cfg):
-        known = set(cls.__dataclass_fields__)
-        extra = set(cfg) - known
+        extra = set(cfg) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-        kwargs = dict(cfg)
-        for key in ("rmspi_weights_u", "rmspi_weights_v", "grmspi_weights_u", "grmspi_weights_v"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = WeightSpec.from_config(kwargs[key])
-        return cls(**kwargs)
-
-
-def validate_scenario(scenario):
-    """Raise ValueError on any inconsistent scenario field."""
-    if scenario.n < 1 or scenario.rank < 1:
-        raise ValueError("dimension and rank must be positive")
-    if scenario.operator_kind not in (GAUSSIAN, COMPLETION):
-        raise ValueError(f"unknown operator kind {scenario.operator_kind!r}")
-    if not scenario.sampling_ratios:
-        raise ValueError("need at least one sampling ratio")
-    for ratio in scenario.sampling_ratios:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError(f"sampling ratio {ratio} outside (0, 1]")
-    if scenario.noise_level < 0.0:
-        raise ValueError("noise level must be nonnegative")
-    if scenario.prior_mode not in PRIOR_MODES:
-        raise ValueError(f"unknown prior mode {scenario.prior_mode!r}")
-    if scenario.trials < 1:
-        raise ValueError("need at least one trial")
-    for solver in scenario.solvers:
-        if solver not in SOLVER_IDS:
-            raise ValueError(f"unknown solver {solver!r}")
-    needs_priors = any(s in ("rmspi", "grmspi") for s in scenario.solvers)
-    if scenario.prior_mode == "none":
-        if needs_priors:
-            raise ValueError("prior-weighted solvers need a prior mode other than 'none'")
-        return
-    for theta in (scenario.theta_u, scenario.theta_v):
-        if theta is None or len(theta) != scenario.rank:
-            raise ValueError("angle presets must carry one angle per rank direction")
-        if any(not 0.0 <= t <= 90.0 for t in theta):
-            raise ValueError("angles must lie in [0, 90] degrees")
-    if scenario.n < 2 * scenario.rank:
-        raise ValueError("dimension must be at least twice the rank to build priors")
+        return cls(**cfg)
 
 
 def builtin_presets():
@@ -171,7 +178,6 @@ def builtin_presets():
     for mode, (theta_u, theta_v), rw_u, rw_v, gw_u, gw_v in families:
         base = Scenario(
             name=mode,
-            prior_mode=mode,
             theta_u=theta_u,
             theta_v=theta_v,
             rmspi_weights_u=rw_u,
@@ -238,7 +244,7 @@ def generate_instance(scenario, ratio, trial_index):
         y = y + scenario.noise_level * np.linalg.norm(y) * direction / np.linalg.norm(direction)
 
     prior_u = prior_v = None
-    if scenario.prior_mode != "none":
+    if scenario.theta_u is not None:
         rng_prior = np.random.default_rng((*key, 3))
         prior_u = perturb_subspace(truth_u, scenario.theta_u, rng_prior)
         prior_v = perturb_subspace(truth_v, scenario.theta_v, rng_prior)
@@ -410,7 +416,6 @@ def run_grid(scenario, threads=1):
     bit-stable across thread counts, and BLAS threads inside pool workers
     would oversubscribe the cores, so parallelism comes from the pool alone.
     """
-    validate_scenario(scenario)
     threads = resolve_threads(threads)
     cells = [(ratio, t) for ratio in scenario.sampling_ratios for t in range(scenario.trials)]
 
@@ -509,16 +514,13 @@ def _jsonable(value):
 
 def save_scenario(scenario, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_config(), fh, indent=2)
+        json.dump(asdict(scenario), fh, indent=2)
         fh.write("\n")
 
 
 def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    scenario = Scenario.from_config(cfg)
-    validate_scenario(scenario)
-    return scenario
+        return Scenario.from_config(json.load(fh))
 
 
 def report_to_dict(report):
@@ -529,7 +531,7 @@ def report_to_dict(report):
         d["normalized_error"] = _jsonable(d["normalized_error"])
         trials.append(d)
     return {
-        "scenario": report.scenario.to_config(),
+        "scenario": asdict(report.scenario),
         "aggregates": [asdict(a) for a in report.aggregates],
         "trials": trials,
     }

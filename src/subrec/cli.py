@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def _cmd_recover(args):
             if args.matrix:
                 scenario, instance = _matrix_trial(args)
             else:
-                scenario = _load_preset(args.preset)
+                scenario = replace(_load_preset(args.preset), sampling_ratios=(args.ratio,))
                 instance = bench.generate_instance(scenario, args.ratio, args.trial)
         except (OSError, ValueError) as exc:
             print(f"subrec recover: {exc}", file=sys.stderr)
@@ -131,30 +132,22 @@ def _matrix_trial(args):
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("recover expects a square matrix")
-    rank = args.rank
-    if not 1 <= rank <= n // 2:
-        raise ValueError(f"rank must lie in [1, {n // 2}] for prior construction")
-    theta_u = args.theta_u if args.theta_u else (5.0,) * rank
-    theta_v = args.theta_v if args.theta_v else (5.0,) * rank
-    if len(theta_u) != rank or len(theta_v) != rank:
-        raise ValueError("need one prior angle per rank direction")
-    if any(not 0.0 <= t <= 90.0 for t in theta_u + theta_v):
-        raise ValueError("prior angles must lie in [0, 90] degrees")
+    default_angles = (5.0,) * args.rank
+    scenario = bench.Scenario(
+        name="matrix", n=n, rank=args.rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
+        theta_u=args.theta_u or default_angles, theta_v=args.theta_v or default_angles, trials=1,
+    )
     p = bench.measurement_count(n, args.ratio)
     operator = bench.make_operator(args.kind, n, p, (args.seed, 1))
 
     u, _, vh = svd(matrix)
-    truth_u, truth_v = u[:, :rank], vh[:rank].T
+    truth_u, truth_v = u[:, :args.rank], vh[:args.rank].T
     rng = np.random.default_rng((args.seed, 3))
-    prior_u = perturb_subspace(truth_u, theta_u, rng)
-    prior_v = perturb_subspace(truth_v, theta_v, rng)
+    prior_u = perturb_subspace(truth_u, scenario.theta_u, rng)
+    prior_v = perturb_subspace(truth_v, scenario.theta_v, rng)
     instance = bench.Instance(
         matrix, truth_u, truth_v, operator, operator.apply(matrix), prior_u, prior_v,
         ratio=args.ratio, trial_index=0, seed=(args.seed,),
-    )
-    scenario = bench.Scenario(
-        name="matrix", n=n, rank=rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
-        theta_u=theta_u, theta_v=theta_v, trials=1,
     )
     return scenario, instance
 
@@ -169,14 +162,10 @@ def _cmd_bench(args):
             scenario = bench.load_scenario(args.scenario)
         else:
             raise ValueError("need a scenario file or --preset")
-        overrides = {}
         if args.trials is not None:
-            overrides["trials"] = args.trials
+            scenario = replace(scenario, trials=args.trials)
         if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if overrides:
-            scenario = bench.Scenario.from_config({**scenario.to_config(), **overrides})
-        bench.validate_scenario(scenario)
+            scenario = replace(scenario, master_seed=args.seed)
         threads = bench.resolve_threads(args.threads)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"subrec bench: {exc}", file=sys.stderr)
@@ -222,12 +211,12 @@ def _cmd_rip(args):
 def _cmd_presets(args):
     presets = bench.builtin_presets()
     if args.json:
-        print(json.dumps({name: sc.to_config() for name, sc in presets.items()}, indent=2))
+        print(json.dumps({name: asdict(sc) for name, sc in presets.items()}, indent=2))
         return 0
     for name, sc in presets.items():
         print(
             f"{name:24s} kind={sc.operator_kind:10s} noise={sc.noise_level:g} "
-            f"prior={sc.prior_mode} ratios={list(sc.sampling_ratios)}"
+            f"ratios={list(sc.sampling_ratios)}"
         )
     return 0
 

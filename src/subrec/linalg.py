@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: SVD, rank truncation, and subspace geometry.
+"""Dense linear-algebra substrate: SVD and subspace geometry.
 
 Matrices are plain float ndarrays. A "subspace basis" is an (n, r) ndarray with
 orthonormal columns; functions that construct one guarantee orthonormality to
@@ -34,17 +34,6 @@ def svd(m):
     """
     m = np.asarray_chkfinite(m, dtype=float)
     return np.linalg.svd(m, full_matrices=False)
-
-
-def truncate_rank(m, r):
-    """Best rank-r approximation of ``m`` in Frobenius norm (Eckart-Young)."""
-    m = np.asarray(m, dtype=float)
-    if not 0 <= r <= min(m.shape):
-        raise ValueError(f"rank {r} out of range for shape {m.shape}")
-    if r == 0:
-        return np.zeros_like(m)
-    u, s, vh = svd(m)
-    return (u[:, :r] * s[:r]) @ vh[:r]
 
 
 def principal_angles(b1, b2):

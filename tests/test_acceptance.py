@@ -7,6 +7,7 @@ outcomes are reproducible bit for bit.
 
 import mpmath
 import numpy as np
+from oracles import truncate_rank
 
 from subrec import analysis, bench
 from subrec.linalg import (
@@ -14,7 +15,6 @@ from subrec.linalg import (
     perturb_subspace,
     random_orthonormal,
     svd,
-    truncate_rank,
 )
 from subrec.operators import (
     WeightedOperator,

@@ -19,7 +19,6 @@ from subrec.bench import (
     run_grid,
     run_trial,
     save_scenario,
-    validate_scenario,
     write_matrix_csv,
     write_report_csv,
     write_report_json,
@@ -35,8 +34,7 @@ from subrec.weighting import (
 
 
 def small_scenario(**overrides):
-    base = builtin_presets()["close_close"]
-    cfg = base.to_config()
+    cfg = dataclasses.asdict(builtin_presets()["close_close"])
     cfg.update(
         name="small",
         sampling_ratios=[0.8],
@@ -56,7 +54,7 @@ def test_presets_cover_all_families_and_validate():
         assert f"{mode}_noisy" in presets
         assert f"{mode}_completion" in presets
     for scenario in presets.values():
-        validate_scenario(scenario)
+        assert dataclasses.replace(scenario) == scenario  # passes the constructor's checks
     assert presets["close_close_noisy"].noise_level == 1e-3
     assert presets["far_far_completion"].operator_kind == "completion"
 
@@ -335,7 +333,7 @@ def test_weighted_solver_succeeds_at_moderate_sampling():
 
 
 def test_prior_weighting_dominates_baseline_on_grid():
-    cfg = builtin_presets()["close_close"].to_config()
+    cfg = dataclasses.asdict(builtin_presets()["close_close"])
     cfg.update(name="ordering", sampling_ratios=[0.5, 0.8], trials=6,
                solvers=["admira", "grmspi"], master_seed=11)
     report = run_grid(Scenario.from_config(cfg))
@@ -354,7 +352,7 @@ def test_success_rate_nondecreasing_in_ratio_smoke():
     single = dataclasses.asdict(WeightSpec.single(0.18, 0.999))
     per_direction = dataclasses.asdict(WeightSpec.per_direction((0.17, 0.19), (0.99, 0.98)))
     for seed in (1, 2, 3):
-        sc_cfg = builtin_presets()["close_close"].to_config()
+        sc_cfg = dataclasses.asdict(builtin_presets()["close_close"])
         sc_cfg.update(
             name="smoke", n=20, rank=2,
             theta_u=[2.3307, 3.1302], theta_v=[2.4493, 2.9559],
@@ -379,30 +377,42 @@ def test_scenario_config_round_trip(tmp_path):
     assert loaded == sc
     # Through JSON text, as scenario files are written and read.
     for preset in builtin_presets().values():
-        assert Scenario.from_config(json.loads(json.dumps(preset.to_config()))) == preset
+        assert Scenario.from_config(json.loads(json.dumps(dataclasses.asdict(preset)))) == preset
 
 
 def test_scenario_rejects_unknown_keys(tmp_path):
-    cfg = builtin_presets()["close_close"].to_config()
-    cfg["unexpected"] = 1
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    with pytest.raises(ValueError):
-        load_scenario(path)
+    # prior_mode was a label-only field; files that still carry it are rejected.
+    for key, value in (("unexpected", 1), ("prior_mode", "close_close")):
+        cfg = dataclasses.asdict(builtin_presets()["close_close"])
+        cfg[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match=rf"unknown scenario keys: \['{key}'\]"):
+            load_scenario(path)
 
 
-def test_validate_scenario_errors():
+def test_scenario_construction_errors():
     with pytest.raises(ValueError):
-        validate_scenario(small_scenario(sampling_ratios=[1.5]))
+        small_scenario(sampling_ratios=[1.5])
     with pytest.raises(ValueError):
-        validate_scenario(small_scenario(solvers=["sdp"]))
+        small_scenario(solvers=["sdp"])
+    with pytest.raises(ValueError, match="rmspi and grmspi need prior angles"):
+        small_scenario(theta_u=None, theta_v=None)  # no priors: admira only
+    with pytest.raises(ValueError, match="or both null for no priors"):
+        small_scenario(theta_u=None)
     with pytest.raises(ValueError):
-        validate_scenario(small_scenario(prior_mode="sideways"))
-    with pytest.raises(ValueError):
-        validate_scenario(small_scenario(prior_mode="none"))  # needs admira-only solvers
-    with pytest.raises(ValueError):
-        validate_scenario(small_scenario(theta_u=[1.0]))
-    validate_scenario(small_scenario(prior_mode="none", solvers=["admira"]))
+        small_scenario(theta_u=[1.0])
+    # No priors: the admira-only study sees the same truth, operator and
+    # measurements, because priors draw from their own stream.
+    with_priors = small_scenario(solvers=["admira"])
+    without = small_scenario(theta_u=None, theta_v=None, solvers=["admira"])
+    inst, bare = generate_instance(with_priors, 0.8, 0), generate_instance(without, 0.8, 0)
+    assert bare.prior_u is None and bare.prior_v is None
+    assert np.array_equal(bare.truth, inst.truth) and np.array_equal(bare.y, inst.y)
+    rows = [dataclasses.asdict(run_grid(sc).trials[0]) for sc in (with_priors, without)]
+    for row in rows:
+        del row["wall_time"]
+    assert rows[0] == rows[1]
 
 
 def test_report_serialization(tmp_path):

@@ -16,6 +16,7 @@ def test_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
     assert "close_close" in out and "far_far_completion" in out
+    assert "prior=" not in out
 
 
 def test_presets_json(capsys):
@@ -26,7 +27,7 @@ def test_presets_json(capsys):
 
 
 def _tiny_scenario_file(tmp_path, **overrides):
-    cfg = bench.builtin_presets()["close_close"].to_config()
+    cfg = dataclasses.asdict(bench.builtin_presets()["close_close"])
     cfg.update(
         name="tiny", sampling_ratios=[0.8], trials=2, solvers=["admira", "grmspi"], master_seed=3
     )
@@ -87,6 +88,60 @@ def test_bench_command_rejects_bad_thread_count(tmp_path, capsys, args, env, mes
     assert not out.exists()
 
 
+NO_PRIORS = {"theta_u": None, "theta_v": None}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n": 0}, "dimension must be positive"),
+        ({"rank": 0}, "rank must lie in [1, 15] to build priors"),
+        ({"rank": 16}, "rank must lie in [1, 15] to build priors"),
+        ({**NO_PRIORS, "solvers": ["admira"], "rank": 31}, "rank must lie in [1, 30]"),
+        ({"operator_kind": "identity"}, "unknown operator kind 'identity'"),
+        ({"sampling_ratios": []}, "need at least one sampling ratio"),
+        ({"sampling_ratios": [0.0]}, "sampling ratio 0.0 outside (0, 1]"),
+        ({"sampling_ratios": [1.5]}, "sampling ratio 1.5 outside (0, 1]"),
+        ({"sampling_ratios": [0.0001]}, "sampling ratio 0.0001 gives no measurements at n = 30"),
+        ({"noise_level": -1e-3}, "noise level must be finite and nonnegative, got -0.001"),
+        ({"noise_level": float("nan")}, "noise level must be finite and nonnegative, got nan"),
+        ({"noise_level": float("inf")}, "noise level must be finite and nonnegative, got inf"),
+        ({"trials": 0}, "need at least one trial"),
+        ({"solvers": ["sdp"]}, "unknown solver 'sdp'"),
+        (NO_PRIORS, "rmspi and grmspi need prior angles theta_u and theta_v"),
+        ({"theta_u": None},
+         "theta_u and theta_v need one prior angle per rank direction (3 each), "
+         "or both null for no priors"),
+        ({"theta_v": [1.0, 2.0]},
+         "theta_u and theta_v need one prior angle per rank direction (3 each), "
+         "or both null for no priors"),
+        ({"theta_v": [1.0, 2.0, 95.0]}, "prior angles must lie in [0, 90] degrees"),
+        ({"grmspi_weights_v": {"mode": "per_direction", "span_weights": [0.2, 0.2],
+                               "complement_weights": [0.9, 0.9]}},
+         "grmspi_weights_v carries 2 per-direction weights for rank 3"),
+        ({"rmspi_weights_u": {"mode": "single", "span_weights": 0.0, "complement_weights": 0.9}},
+         "weight 0.0 outside (0, 1]"),
+    ],
+)
+def test_invalid_scenario_field_is_rejected_everywhere(tmp_path, capsys, overrides, message):
+    # The Scenario constructor is the one place a study is validated, so the
+    # same rule fires however the scenario is made.
+    with pytest.raises(ValueError) as direct:
+        bench.Scenario(**overrides)
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(bench.builtin_presets()["close_close"], **overrides)
+    assert str(direct.value) == str(replaced.value) == message
+    out = tmp_path / "report.json"
+    assert main(["bench", str(_tiny_scenario_file(tmp_path, **overrides)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"subrec bench: {message}\n"
+    assert not out.exists()
+
+
+def test_bench_command_rejects_invalid_overrides(capsys):
+    assert main(["bench", "--preset", "close_close", "--trials", "0"]) == 1
+    assert capsys.readouterr().err == "subrec bench: need at least one trial\n"
+
+
 def test_bench_command_runtime_failure_exit_code(tmp_path):
     scenario = _tiny_scenario_file(tmp_path, trials=1, solvers=["admira"])
     code = main(["bench", str(scenario), "--out", "/nonexistent-dir/report.json"])
@@ -107,9 +162,10 @@ def test_recover_from_preset(capsys):
 
 
 def test_recover_from_preset_rejects_out_of_range_ratio(capsys):
-    code = main(["recover", "--preset", "close_close_completion", "--ratio", "1.5"])
-    assert code == 1
-    assert capsys.readouterr().err == "subrec recover: measurement count 1350 outside [1, 900]\n"
+    # Both operator kinds apply the ratio rule bench applies, before any sensing.
+    for preset in ("close_close", "close_close_completion"):
+        assert main(["recover", "--preset", preset, "--ratio", "1.5"]) == 1
+        assert capsys.readouterr().err == "subrec recover: sampling ratio 1.5 outside (0, 1]\n"
 
 
 def test_recover_trial_equals_its_grid_row(monkeypatch, capsys):
@@ -164,16 +220,20 @@ def test_recover_matrix_errors(tmp_path, capsys):
     bench.write_matrix_csv(rng.standard_normal((4, 6)), rect)
     for args, message in (
         ([str(rect), "--rank", "1"], "recover expects a square matrix"),
-        ([str(path), "--rank", "0"], "rank must lie in [1, 3] for prior construction"),
-        ([str(path), "--rank", "4"], "rank must lie in [1, 3] for prior construction"),
+        ([str(path), "--rank", "0"], "rank must lie in [1, 3] to build priors"),
+        ([str(path), "--rank", "4"], "rank must lie in [1, 3] to build priors"),
         ([str(path), "--rank", "1", "--theta-u", "95"], "prior angles must lie in [0, 90] degrees"),
+        ([str(path), "--rank", "1", "--theta-v", "3,4"],
+         "theta_u and theta_v need one prior angle per rank direction (1 each), "
+         "or both null for no priors"),
+        ([str(path), "--rank", "1", "--ratio", "0.01"],
+         "sampling ratio 0.01 gives no measurements at n = 6"),
+        ([str(path), "--rank", "1", "--kind", "completion", "--ratio", "1.5"],
+         "sampling ratio 1.5 outside (0, 1]"),
+        ([str(path), "--rank", "1", "--ratio", "1.5"], "sampling ratio 1.5 outside (0, 1]"),
     ):
         assert main(["recover", "--matrix", *args]) == 1
         assert capsys.readouterr().err == f"subrec recover: {message}\n"
-    code = main(["recover", "--matrix", str(path), "--rank", "1", "--kind", "completion",
-                 "--ratio", "1.5"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("subrec recover: measurement count 54 outside")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

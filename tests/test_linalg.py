@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import truncate_rank
 
 from subrec.linalg import (
     ORTHO_DROP_TOL,
@@ -11,7 +12,6 @@ from subrec.linalg import (
     principal_angles,
     random_orthonormal,
     svd,
-    truncate_rank,
 )
 
 
@@ -43,6 +43,9 @@ def test_svd_reconstruction_random():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+# Self-checks of the tests' rank-truncation oracle (tests/oracles.py).
 
 
 def test_truncate_rank_diagonal():
