@@ -73,15 +73,28 @@ class Scenario:
     master_seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sampling_ratios", tuple(float(r) for r in self.sampling_ratios))
+        for key in ("n", "rank", "trials", "master_seed"):
+            object.__setattr__(self, key, _require_int(key, getattr(self, key)))
+        for key in ("sampling_ratios", "theta_u", "theta_v"):
+            values = getattr(self, key)
+            if key == "sampling_ratios" or values is not None:
+                if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
+                    raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+                object.__setattr__(self, key, tuple(float(v) for v in values))
+        if not _is_real(self.noise_level):
+            raise ValueError(f"noise_level must be a number, got {self.noise_level!r}")
+        object.__setattr__(self, "noise_level", float(self.noise_level))
+        if not isinstance(self.solvers, (list, tuple)) or not all(
+            isinstance(s, str) for s in self.solvers
+        ):
+            raise ValueError(f"solvers must be a list of solver names, got {self.solvers!r}")
         object.__setattr__(self, "solvers", tuple(self.solvers))
-        if self.theta_u is not None:
-            object.__setattr__(self, "theta_u", tuple(float(t) for t in self.theta_u))
-        if self.theta_v is not None:
-            object.__setattr__(self, "theta_v", tuple(float(t) for t in self.theta_v))
         for key in WEIGHT_FIELDS:
-            if isinstance(getattr(self, key), dict):
-                object.__setattr__(self, key, WeightSpec.from_config(getattr(self, key)))
+            spec = getattr(self, key)
+            if isinstance(spec, dict):
+                object.__setattr__(self, key, WeightSpec.from_config(spec))
+            elif spec is not None and not isinstance(spec, WeightSpec):
+                raise ValueError(f"{key} must be a weight spec or null, got {spec!r}")
 
         has_priors = self.theta_u is not None or self.theta_v is not None
         if self.n < 1:
@@ -103,6 +116,8 @@ class Scenario:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise_level}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         for solver in self.solvers:
             if solver not in SOLVER_IDS:
                 raise ValueError(f"unknown solver {solver!r}")
@@ -131,6 +146,17 @@ class Scenario:
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")
         return cls(**cfg)
+
+
+def _require_int(name, value):
+    """``value`` as an int; ValueError unless it is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def builtin_presets():
@@ -398,11 +424,10 @@ class Report:
 
 def resolve_threads(threads):
     """The trial pool size as an int; ValueError unless it is an integer of at least 1."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise ValueError(f"threads must be an integer, got {threads!r}")
+    threads = _require_int("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    return int(threads)
+    return threads
 
 
 def run_grid(scenario, threads=1):

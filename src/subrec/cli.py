@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -86,6 +87,17 @@ def _load_preset(name):
     if name not in presets:
         raise ValueError(f"unknown preset {name!r}; run 'subrec presets' for the list")
     return presets[name]
+
+
+def _check_writable(path):
+    """ValueError unless a file can be written at ``path``, checked before any work runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValueError(f"cannot write {path}: permission denied")
 
 
 def _print_trial(result):
@@ -167,12 +179,15 @@ def _cmd_bench(args):
         if args.seed is not None:
             scenario = replace(scenario, master_seed=args.seed)
         threads = bench.resolve_threads(args.threads)
+        out = args.out or f"report_{scenario.name}.json"
+        for path in (out, args.csv):
+            if path:
+                _check_writable(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"subrec bench: {exc}", file=sys.stderr)
         return 1
 
     report = bench.run_grid(scenario, threads=threads)
-    out = args.out or f"report_{scenario.name}.json"
     bench.write_report_json(report, out)
     if args.csv:
         bench.write_report_csv(report, args.csv)
@@ -192,6 +207,8 @@ def _cmd_rip(args):
         ranks = [int(part) for part in args.ranks.split(",")]
         ratios = [float(part) for part in args.ratios.split(",")]
         scenario = _load_preset(args.preset)
+        if args.csv:
+            _check_writable(args.csv)
         rows = bench.rip_survey(args.n, ranks, ratios, args.samples, args.seed,
                                 scenario=scenario, operator_kind=args.kind)
     except ValueError as exc:

@@ -402,6 +402,10 @@ def test_scenario_construction_errors():
         small_scenario(theta_u=None)
     with pytest.raises(ValueError):
         small_scenario(theta_u=[1.0])
+    # numpy integers are integers; fields are stored as plain ints.
+    numpy_ints = small_scenario(n=np.int64(12), trials=np.int32(2), master_seed=np.int64(4))
+    assert numpy_ints == small_scenario(n=12, trials=2, master_seed=4)
+    assert all(type(v) is int for v in (numpy_ints.n, numpy_ints.trials, numpy_ints.master_seed))
     # No priors: the admira-only study sees the same truth, operator and
     # measurements, because priors draw from their own stream.
     with_priors = small_scenario(solvers=["admira"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
          "grmspi_weights_v carries 2 per-direction weights for rank 3"),
         ({"rmspi_weights_u": {"mode": "single", "span_weights": 0.0, "complement_weights": 0.9}},
          "weight 0.0 outside (0, 1]"),
+        ({"n": 30.5}, "n must be an integer, got 30.5"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"rank": 2.0}, "rank must be an integer, got 2.0"),
+        ({"trials": "5"}, "trials must be an integer, got '5'"),
+        ({"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"master_seed": -1}, "master_seed must be nonnegative, got -1"),
+        ({"sampling_ratios": 0.5}, "sampling_ratios must be a list of numbers, got 0.5"),
+        ({"sampling_ratios": ["0.5"]}, "sampling_ratios must be a list of numbers, got ['0.5']"),
+        ({"theta_u": 5}, "theta_u must be a list of numbers, got 5"),
+        ({"theta_v": [1.0, 2.0, "3"]}, "theta_v must be a list of numbers, got [1.0, 2.0, '3']"),
+        ({"noise_level": "0.1"}, "noise_level must be a number, got '0.1'"),
+        ({"noise_level": True}, "noise_level must be a number, got True"),
+        ({"solvers": "admira"}, "solvers must be a list of solver names, got 'admira'"),
+        ({"solvers": [1]}, "solvers must be a list of solver names, got [1]"),
+        ({"rmspi_weights_u": 0.5}, "rmspi_weights_u must be a weight spec or null, got 0.5"),
     ],
 )
 def test_invalid_scenario_field_is_rejected_everywhere(tmp_path, capsys, overrides, message):
@@ -142,10 +159,50 @@ def test_bench_command_rejects_invalid_overrides(capsys):
     assert capsys.readouterr().err == "subrec bench: need at least one trial\n"
 
 
-def test_bench_command_runtime_failure_exit_code(tmp_path):
+def test_bench_command_runtime_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("grid failed")
+
+    monkeypatch.setattr(bench, "run_grid", fail)
     scenario = _tiny_scenario_file(tmp_path, trials=1, solvers=["admira"])
-    code = main(["bench", str(scenario), "--out", "/nonexistent-dir/report.json"])
+    code = main(["bench", str(scenario), "--out", str(tmp_path / "report.json")])
     assert code == 2
+    assert capsys.readouterr().err == "subrec: RuntimeError: grid failed\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, target, reason",
+    [
+        ("bench", "--out", "missing/report.json", "no directory {tmp}/missing"),
+        ("bench", "--out", ".", "it is a directory"),
+        ("bench", "--out", "report.json", "permission denied"),
+        ("bench", "--csv", "missing/report.csv", "no directory {tmp}/missing"),
+        ("rip", "--csv", "missing/rip.csv", "no directory {tmp}/missing"),
+        ("rip", "--csv", ".", "it is a directory"),
+        ("rip", "--csv", "rip.csv", "permission denied"),
+    ],
+)
+def test_unwritable_output_path_is_rejected_before_any_work(
+    tmp_path, monkeypatch, capsys, command, flag, target, reason
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(bench, "run_grid", must_not_run)
+    monkeypatch.setattr(bench, "rip_survey", must_not_run)
+    if reason == "permission denied":
+        # A superuser may write anywhere, so the refusal is simulated.
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    path = tmp_path / target
+    args = [command, flag, str(path)]
+    if command == "bench":
+        args += ["--preset", "close_close"]
+        if flag == "--csv":
+            args += ["--out", str(tmp_path / "report.json")]
+    assert main(args) == 1
+    message = f"cannot write {path}: {reason.format(tmp=tmp_path)}"
+    assert capsys.readouterr().err == f"subrec {command}: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subrec import solver
 from subrec.linalg import random_orthonormal, svd
 from subrec.operators import (
     COMPLETION,
@@ -16,10 +19,12 @@ from subrec.operators import (
     random_low_rank,
 )
 from subrec.solver import (
+    DESIGN_BLOCK_BYTES,
     GRAM_DIAG_RATIO_MIN,
     SolverConfig,
     Support,
     _completion_normal_equations,
+    _gaussian_design,
     identify_support,
     least_squares_on_support,
     merge_support,
@@ -543,6 +548,68 @@ def test_completion_normal_equations_match_explicit_design(
     m = rng.standard_normal((k_u, k_v))
     expected = design @ m.ravel()
     assert np.linalg.norm(measure(m) - expected) <= 1e-12 * np.linalg.norm(design) * np.linalg.norm(m)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 7),
+    k_u=st.integers(1, 7),
+    k_v=st.integers(1, 7),
+    span_weight=st.sampled_from([None, 1.0, 0.3, 0.7]),
+    block=st.integers(0, 5),
+    layout=st.sampled_from(["below", "equal", "multiple", "short_last"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_streamed_gaussian_design_equals_one_batched_product(
+    n, k_u, k_v, span_weight, block, layout, seed, data
+):
+    # A budget of `block` slices plus less than one more gives blocks of
+    # `block` slices, or of one slice when block is 0. p lies below one
+    # block, equals it, is a multiple of it or leaves a short last block.
+    # Every layout gives the design of one batched product over all slices,
+    # bit for bit, and least squares measures with that same design.
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    slice_bytes = k_u * n * 8
+    budget = block * slice_bytes + data.draw(st.integers(0, slice_bytes - 1), label="spare")
+    step = max(1, block)
+    p = {"below": max(1, step - 1), "equal": step, "multiple": 3 * step,
+         "short_last": 2 * step + max(1, step // 2)}[layout]
+    rng = np.random.default_rng(seed)
+    wop = _weighted(make_gaussian(n, p, rng), n, rng, span_weight)
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    g = sup.left if wop.qu_inv is None else wop.qu_inv @ sup.left
+    h = sup.right if wop.qv_inv is None else wop.qv_inv @ sup.right
+    g, h = np.ascontiguousarray(g), np.ascontiguousarray(h)
+    batched = np.matmul(np.matmul(g.T, wop.base.mats), h).reshape(p, -1)
+    m = rng.standard_normal((k_u, k_v))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "DESIGN_BLOCK_BYTES", budget)
+        streamed = _gaussian_design(wop.base.mats, g, h)
+        _, measure = least_squares_on_support(wop, rng.standard_normal(p), sup)
+    assert streamed.shape == batched.shape
+    assert streamed.tobytes() == batched.tobytes()
+    assert np.array_equal(measure(m), batched @ m.ravel())
+
+
+def test_gaussian_least_squares_holds_one_design_block_at_a_time():
+    # Here the intermediate g^T A_i of all p slices would be four budgets.
+    # Streaming holds the design and one block of g^T A_i at a time, plus
+    # the small Gram matrix and vectors covered by the slack.
+    n, k_u, k_v = 30, 9, 3
+    p = 4 * DESIGN_BLOCK_BYTES // (k_u * n * 8)
+    rng = np.random.default_rng(11)
+    op = MeasurementOperator(GAUSSIAN, n, p, mats=rng.standard_normal((p, n, n)) / np.sqrt(p))
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    y = rng.standard_normal(p)
+    tracemalloc.start()
+    try:
+        least_squares_on_support(op, y, sup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design_bytes = p * k_u * k_v * 8
+    assert peak <= design_bytes + DESIGN_BLOCK_BYTES + 2**18
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
