@@ -29,7 +29,14 @@ from .operators import (
     random_low_rank,
 )
 from .solver import SolverConfig, solve
-from .weighting import PER_DIRECTION, SINGLE, WeightSpec, angles_to_weights, build_weight_operator
+from .weighting import (
+    PER_DIRECTION,
+    SINGLE,
+    WeightSpec,
+    angles_to_weights,
+    build_weight_operator,
+    is_real,
+)
 
 # Success criterion: normalized error <= 1e-2 reached within 20 iterations.
 SUCCESS_ERROR = 1e-2
@@ -78,10 +85,10 @@ class Scenario:
         for key in ("sampling_ratios", "theta_u", "theta_v"):
             values = getattr(self, key)
             if key == "sampling_ratios" or values is not None:
-                if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
+                if not isinstance(values, (list, tuple)) or not all(map(is_real, values)):
                     raise ValueError(f"{key} must be a list of numbers, got {values!r}")
                 object.__setattr__(self, key, tuple(float(v) for v in values))
-        if not _is_real(self.noise_level):
+        if not is_real(self.noise_level):
             raise ValueError(f"noise_level must be a number, got {self.noise_level!r}")
         object.__setattr__(self, "noise_level", float(self.noise_level))
         if not isinstance(self.solvers, (list, tuple)) or not all(
@@ -153,10 +160,6 @@ def _require_int(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _is_real(value):
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def builtin_presets():
@@ -495,11 +498,15 @@ def rip_survey(n, ranks, ratios, samples, seed, scenario=None, operator_kind=GAU
     """Empirical isometry constants over a (rank, ratio) grid.
 
     For every cell the same sample matrices score both the raw operator and
-    its prior-weighted composition (the weighted operator sees the weighted
-    samples, so the base column is a guaranteed lower bound for the weighted
-    one). The priors and single-mode weights come from ``scenario`` (default:
-    the close_close preset). ``operator_kind`` may also be "identity" for
-    exact full sensing, in which case every ratio must be 1.0.
+    its prior-weighted composition. The weighted operator sees the weighted
+    samples Qu Z Qv, so both measure A(Z), and with weights <= 1 the weighted
+    ratio ||A(Z)||^2 / ||Qu Z Qv||^2 is at least the base one. That bounds
+    only the upper side: the weighted M - 1 is at least the base M - 1, but
+    1 - m can shrink, so the weighted delta_hat may fall below the base
+    column where 1 - m sets it. The priors and single-mode weights come from
+    ``scenario`` (default: the close_close preset). ``operator_kind`` may also
+    be "identity" for exact full sensing, in which case every ratio must be
+    1.0.
     """
     if scenario is None:
         scenario = builtin_presets()["close_close"]

@@ -7,15 +7,44 @@ roughly 1e-10, and consumers may rely on it.
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr
 
 # Residual-norm cutoff below which a column is treated as linearly dependent.
 # Matches the reconstruction accuracy of double-precision SVD.
 ORTHO_DROP_TOL = 1e-10
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without ``scipy.linalg``'s init.
+
+    That init imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``,
+    which roughly doubles the time and memory of ``import subrec``. The
+    extension's own ``sys.modules`` entry is taken back out, so a later
+    ``import scipy.linalg`` loads it as usual and gets the same function
+    objects.
+    """
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    where = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations if scipy else [])]
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {name} not found in {where}", name=name)
+    registered = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:
+        del sys.modules[name]
+    return module
+
+
+_flapack = _load_flapack()
+dgeqp3, dorgqr, dpotrf, dpotrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dpotrf, _flapack.dpotrs
 
 
 def as_generator(rng):
@@ -40,15 +69,19 @@ def principal_angles(b1, b2):
     """Principal angles between two subspaces, in degrees, nondecreasing.
 
     ``b1`` and ``b2`` are orthonormal bases with the same ambient dimension.
-    The angles are arccos of the singular values of b1.T @ b2; the cosines are
-    clipped to [0, 1] so rounding noise cannot produce NaN at 0 or 90 degrees.
+    The cosines are the singular values of b1.T @ b2 (descending), the sines
+    those of the part of b2 outside span(b1) (ascending), and each angle is
+    arctan2(sine, cosine). arccos alone resolves angles near 0 only to about
+    1e-6 degrees, because 1 - cos(t) ~ t^2 / 2 sinks below rounding there.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if b1.shape[0] != b2.shape[0]:
         raise ValueError(f"ambient dimensions differ: {b1.shape[0]} vs {b2.shape[0]}")
-    cosines = np.linalg.svd(b1.T @ b2, compute_uv=False)
-    return np.degrees(np.arccos(np.clip(cosines, 0.0, 1.0)))
+    overlap = b1.T @ b2
+    cosines = np.linalg.svd(overlap, compute_uv=False)
+    sines = np.sort(np.linalg.svd(b2 - b1 @ overlap, compute_uv=False))[: cosines.size]
+    return np.degrees(np.arctan2(sines, cosines))
 
 
 def orthonormalize(m):
@@ -58,8 +91,9 @@ def orthonormalize(m):
     ORTHO_DROP_TOL are dropped (pivoted QR). A zero or empty input yields an
     (n, 0) basis; NaN/Inf entries raise ValueError. The result equals the
     leading columns of ``scipy.linalg.qr(m, mode="economic", pivoting=True)``
-    bit for bit: LAPACK geqp3 and orgqr are called directly, which saves that
-    wrapper's workspace queries and copies on the small inputs of the loop.
+    bit for bit: LAPACK geqp3 and orgqr (see ``_load_flapack``) are called
+    directly, which saves that wrapper's workspace queries and copies on the
+    small inputs of the loop.
     """
     m = np.asarray_chkfinite(m, dtype=float)
     if m.ndim != 2:

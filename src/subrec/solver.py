@@ -28,9 +28,9 @@ linear map vec(M) -> A(Qu^-1 U M V^T Qv^-1) of the merged support:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
+from .linalg import dpotrf, dpotrs
 from .operators import COMPLETION, WeightedOperator
 
 # A residual decrease below this relative amount counts as a flat iteration;
@@ -162,7 +162,9 @@ def least_squares_on_support(op, y, support):
     must be a finite vector of shape (p,); anything else raises ValueError.
 
     A tall system (p >= k_u * k_v) is solved through the normal equations:
-    LAPACK potrf factors the Gram matrix D^T D and potrs gives M. With
+    LAPACK potrf factors the Gram matrix D^T D and potrs gives M; both are
+    scipy's compiled wrappers, taken from ``linalg``, which loads them without
+    importing ``scipy.linalg`` (see ``linalg._load_flapack``). With
     g = Qu^-1 U and h = Qv^-1 V, Gaussian sensing forms the Gram from the
     explicit p x (k_u * k_v) design in about p k^4 flops, and measure(M') is
     D vec(M'). Row i of that design is vec(g^T A_i h) for the sensing matrix

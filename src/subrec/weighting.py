@@ -22,14 +22,20 @@ SINGLE = "single"
 PER_DIRECTION = "per_direction"
 
 
+def is_real(value):
+    """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Penalty weights for one side (rows or columns) of the recovery.
 
     ``span_weights`` applies to the prior subspace, ``complement_weights`` to
-    the weighted complement directions. Scalars in single mode, tuples of
-    length r in per-direction mode; every weight must lie in (0, 1] so the
-    operator stays invertible. Per-direction entries are indexed by the
+    the weighted complement directions. Numbers in single mode, lists or
+    tuples of length r in per-direction mode (bools and strings are not
+    numbers); every weight must lie in (0, 1] so the operator stays
+    invertible. Per-direction entries are indexed by the
     principal angles in ascending order.
     """
 
@@ -40,19 +46,25 @@ class WeightSpec:
     def __post_init__(self):
         if self.mode not in (SINGLE, PER_DIRECTION):
             raise ValueError(f"unknown weighting mode {self.mode!r}")
-        if self.mode == SINGLE:
-            span = float(self.span_weights)
-            comp = float(self.complement_weights)
-        else:
-            span = tuple(float(w) for w in self.span_weights)
-            comp = tuple(float(w) for w in self.complement_weights)
-            if len(span) != len(comp) or not span:
-                raise ValueError("per-direction weights need equal nonzero lengths")
-        for w in np.atleast_1d(np.asarray(span)).tolist() + np.atleast_1d(np.asarray(comp)).tolist():
+        for key in ("span_weights", "complement_weights"):
+            value = getattr(self, key)
+            if self.mode == SINGLE:
+                if not is_real(value):
+                    raise ValueError(f"{key} must be a number in single mode, got {value!r}")
+                value = float(value)
+            else:
+                if not isinstance(value, (list, tuple)) or not all(map(is_real, value)):
+                    raise ValueError(
+                        f"{key} must be a list of numbers in per-direction mode, got {value!r}"
+                    )
+                value = tuple(float(w) for w in value)
+            object.__setattr__(self, key, value)
+        span, comp = self.span_weights, self.complement_weights
+        if self.mode == PER_DIRECTION and (len(span) != len(comp) or not span):
+            raise ValueError("per-direction weights need equal nonzero lengths")
+        for w in np.atleast_1d(span).tolist() + np.atleast_1d(comp).tolist():
             if not 0.0 < w <= 1.0:
                 raise ValueError(f"weight {w} outside (0, 1]")
-        object.__setattr__(self, "span_weights", span)
-        object.__setattr__(self, "complement_weights", comp)
 
     @classmethod
     def single(cls, span, complement):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrec import bench, linalg
 from subrec.bench import (
@@ -502,3 +504,34 @@ def test_prior_weighting_admira_and_unknown_solver():
     assert bench.prior_weighting(preset, "admira", instance.prior_u, instance.prior_v) is None
     with pytest.raises(ValueError, match="unknown solver"):
         bench.prior_weighting(preset, "sdp", instance.prior_u, instance.prior_v)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "completion"]),
+    n=st.integers(4, 12),
+    rank=st.integers(1, 2),
+    ratio=st.sampled_from([0.3, 0.6, 0.9]),
+    span=st.sampled_from([1e-8, 1e-6, 1e-4, 0.1]),
+    complement=st.sampled_from([1e-8, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_tiny_weights_end_finite_or_in_the_error_stop(kind, n, rank, ratio, span, complement, seed):
+    # Weights near 0 make Q^-1 huge (up to 1e8). A full rmspi or grmspi solve
+    # must still end with a finite estimate, or fail as a recorded solver
+    # error; a trial row with a non-finite error and no error stop must not
+    # occur.
+    rank = min(rank, n // 2)
+    single = WeightSpec.single(span, complement)
+    per_direction = WeightSpec.per_direction((span,) * rank, (complement,) * rank)
+    scenario = Scenario(
+        name="tiny_weights", n=n, rank=rank, operator_kind=kind, sampling_ratios=(ratio,),
+        theta_u=(1.0, 3.0)[:rank], theta_v=(2.0, 4.0)[:rank],
+        rmspi_weights_u=single, rmspi_weights_v=single,
+        grmspi_weights_u=per_direction, grmspi_weights_v=per_direction,
+        trials=1, solvers=("rmspi", "grmspi"), master_seed=seed,
+    )
+    for row in run_grid(scenario).trials:
+        if row.stop_reason != "error":
+            assert math.isfinite(row.normalized_error), row
+            assert not math.isnan(row.snr_db), row

@@ -138,6 +138,22 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
         ({"solvers": "admira"}, "solvers must be a list of solver names, got 'admira'"),
         ({"solvers": [1]}, "solvers must be a list of solver names, got [1]"),
         ({"rmspi_weights_u": 0.5}, "rmspi_weights_u must be a weight spec or null, got 0.5"),
+        ({"rmspi_weights_u": {"mode": "single", "span_weights": [0.2], "complement_weights": 0.9}},
+         "span_weights must be a number in single mode, got [0.2]"),
+        ({"grmspi_weights_v": {"mode": "per_direction", "span_weights": [0.2, 0.2, 0.2],
+                               "complement_weights": 0.9}},
+         "complement_weights must be a list of numbers in per-direction mode, got 0.9"),
+        ({"rmspi_weights_v": {"mode": "single", "span_weights": "0.2", "complement_weights": 0.9}},
+         "span_weights must be a number in single mode, got '0.2'"),
+        ({"rmspi_weights_v": {"mode": "single", "span_weights": 0.2, "complement_weights": True}},
+         "complement_weights must be a number in single mode, got True"),
+        ({"grmspi_weights_u": {"mode": "per_direction", "span_weights": [0.2, "0.2", 0.2],
+                               "complement_weights": [0.9, 0.9, 0.9]}},
+         "span_weights must be a list of numbers in per-direction mode, got [0.2, '0.2', 0.2]"),
+        ({"grmspi_weights_u": {"mode": "per_direction", "span_weights": [0.2, 0.2, 0.2],
+                               "complement_weights": [0.9, False, 0.9]}},
+         "complement_weights must be a list of numbers in per-direction mode, "
+         "got [0.9, False, 0.9]"),
     ],
 )
 def test_invalid_scenario_field_is_rejected_everywhere(tmp_path, capsys, overrides, message):

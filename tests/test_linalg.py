@@ -1,10 +1,18 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import truncate_rank
 
+from subrec import linalg
 from subrec.linalg import (
     ORTHO_DROP_TOL,
     orthonormalize,
@@ -127,8 +135,21 @@ def test_perturb_subspace_zero_angles():
     rng = np.random.default_rng(6)
     b = random_orthonormal(10, 3, rng)
     tilted = perturb_subspace(b, [0.0, 0.0, 0.0], rng)
-    # arccos near 1 resolves angles only to ~1e-6 degrees in double precision
-    assert np.allclose(principal_angles(b, tilted), 0.0, atol=1e-5)
+    assert np.allclose(principal_angles(b, tilted), 0.0, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_perturb_subspace_hits_exact_zero_and_right_angles(n, seed, data):
+    # The extreme targets: an untilted column and one turned fully into the
+    # complement, in any mix, must come back as exactly those angles.
+    rank = data.draw(st.integers(1, n // 2))
+    angles = data.draw(st.lists(st.sampled_from([0.0, 90.0]), min_size=rank, max_size=rank))
+    rng = np.random.default_rng(seed)
+    b = random_orthonormal(n, rank, rng)
+    tilted = perturb_subspace(b, angles, rng)
+    assert np.allclose(tilted.T @ tilted, np.eye(rank), atol=1e-10)
+    assert np.max(np.abs(principal_angles(b, tilted) - np.sort(angles))) <= 1e-8
 
 
 def test_perturb_subspace_right_angles_gives_orthogonal_span():
@@ -238,3 +259,44 @@ def test_random_orthonormal_columns():
     assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-10
     with pytest.raises(ValueError):
         random_orthonormal(2, 3, np.random.default_rng(0))
+
+
+LAPACK_ROUTINES = ("dgeqp3", "dorgqr", "dpotrf", "dpotrs")
+
+# Imports subrec, runs one weighted trial per operator kind (the merge's QR and
+# the Cholesky least squares both run), then prints which of the modules that
+# scipy.linalg's package init pulls in got loaded, and whether the routines are
+# still scipy's own once scipy.linalg is imported after all.
+IMPORT_GUARD = """
+import sys
+from dataclasses import replace
+from subrec import bench, linalg
+presets = bench.builtin_presets()
+for name in ("close_close", "close_close_completion"):
+    scenario = replace(presets[name], sampling_ratios=(0.8,), trials=1, solvers=("rmspi",))
+    assert [row.success for row in bench.run_grid(scenario).trials] == [True], name
+print([m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing") if m in sys.modules])
+import scipy.linalg.lapack
+print(all(getattr(linalg, f) is getattr(scipy.linalg.lapack, f) for f in %r))
+""" % (LAPACK_ROUTINES,)
+
+
+def test_weighted_solves_never_import_scipy_linalg():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
+
+
+def test_lapack_routines_are_scipys_own():
+    for name in LAPACK_ROUTINES:
+        assert getattr(linalg, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_missing_lapack_extension_names_the_path_searched(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError) as missing:
+        linalg._load_flapack()
+    assert str(missing.value) == f"scipy's LAPACK extension scipy.linalg._flapack not found in {[where]}"

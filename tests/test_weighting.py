@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrec.linalg import perturb_subspace, random_orthonormal
 from subrec.weighting import (
@@ -181,3 +183,16 @@ def test_weight_spec_config_round_trip():
         WeightSpec.from_config(
             {"mode": "single", "span_weights": 0.5, "complement_weights": 0.5, "extra": 1}
         )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    angles=st.lists(st.sampled_from([0.0, 90.0]), min_size=1, max_size=6),
+    mode=st.sampled_from([SINGLE, PER_DIRECTION]),
+)
+def test_angles_to_weights_at_zero_and_right_angles_stay_in_range(angles, mode):
+    spec = angles_to_weights(angles, mode)
+    weights = np.concatenate([np.atleast_1d(spec.span_weights),
+                              np.atleast_1d(spec.complement_weights)])
+    assert np.all((weights > 0.0) & (weights <= 1.0))
+    assert spec.rank == (None if mode == SINGLE else len(angles))
