@@ -23,26 +23,22 @@ def delta_threshold():
     The positive root of 6 t^4 + 3 t^2 - 1, i.e. sqrt((sqrt(11/3) - 1) / 4),
     approximately 0.47824.
     """
-    return math.sqrt((math.sqrt(11.0 / 3.0) - 1.0) / 4.0)
+    return delta_for_rate(1.0)
 
 
-def delta_for_rate(rate, tol=1e-14):
-    """Isometry constant whose contraction factor equals ``rate`` (bisection).
+def delta_for_rate(rate):
+    """Isometry constant whose contraction factor equals ``rate`` (closed form).
 
-    For example delta_for_rate(0.5) ~= 0.299449 (its square is ~0.089669).
+    With t = d^2 the factor equation is 6 t^2 + (2 + rate^2) t - rate^2 = 0;
+    its positive root is taken in the cancellation-free form
+    2 rate^2 / (b + sqrt(b^2 + 24 rate^2)), b = 2 + rate^2. For example
+    delta_for_rate(0.5) ~= 0.299449 (its square is ~0.089669).
     """
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
-    if rate == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0 - 1e-12
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if convergence_factor(mid) < rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    r2 = rate * rate
+    b = 2.0 + r2
+    return math.sqrt(2.0 * r2 / (b + math.sqrt(b * b + 24.0 * r2)))
 
 
 def error_bound(delta, k, init_err, proxy_noise, residual_noise):

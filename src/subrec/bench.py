@@ -25,7 +25,6 @@ from .operators import (
     estimate_rip,
     make_completion,
     make_gaussian,
-    make_identity_sensing,
     random_low_rank,
 )
 from .solver import SolverConfig, solve
@@ -43,7 +42,6 @@ SUCCESS_ERROR = 1e-2
 SUCCESS_ITERATIONS = 20
 
 SOLVER_IDS = ("admira", "rmspi", "grmspi")
-IDENTITY = "identity"
 WEIGHT_FIELDS = ("rmspi_weights_u", "rmspi_weights_v", "grmspi_weights_u", "grmspi_weights_v")
 
 # Preset principal angles (degrees, ascending) for the close and far prior
@@ -251,21 +249,27 @@ def generate_instance(scenario, ratio, trial_index):
     """Build the seeded problem for one (ratio, trial) cell.
 
     The ground truth is U diag(s) V^T with Haar factors and singular values
-    uniform in [1, 2]; priors tilt the true subspaces by the scenario's preset
-    angles; optional noise adds a vector of prescribed relative norm in a
-    uniformly random direction.
+    uniform in [1, 2], drawn from the cell key (master_seed, ratio, trial)
+    extended by 0; ``instance_from_truth`` senses it under the same key.
     """
-    n, r = scenario.n, scenario.rank
-    p = measurement_count(n, ratio)
     key = (int(scenario.master_seed), _ratio_key(ratio), int(trial_index))
-
     rng_truth = np.random.default_rng((*key, 0))
-    truth_u = random_orthonormal(n, r, rng_truth)
-    truth_v = random_orthonormal(n, r, rng_truth)
-    sigma = np.sort(rng_truth.uniform(1.0, 2.0, size=r))[::-1]
+    truth_u = random_orthonormal(scenario.n, scenario.rank, rng_truth)
+    truth_v = random_orthonormal(scenario.n, scenario.rank, rng_truth)
+    sigma = np.sort(rng_truth.uniform(1.0, 2.0, size=scenario.rank))[::-1]
     truth = (truth_u * sigma) @ truth_v.T
+    return instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key)
 
-    operator = make_operator(scenario.operator_kind, n, p, (*key, 1))
+
+def instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key):
+    """Sense ``truth`` as the scenario's cell at ``ratio``, seeded by the tuple ``key``.
+
+    The operator draws from (*key, 1). Optional noise adds a vector of the
+    scenario's relative norm in a uniformly random direction from (*key, 2).
+    Priors tilt truth_u and truth_v by the scenario's angles, from (*key, 3).
+    """
+    p = measurement_count(scenario.n, ratio)
+    operator = make_operator(scenario.operator_kind, scenario.n, p, (*key, 1))
     y = operator.apply(truth)
     if scenario.noise_level > 0.0:
         rng_noise = np.random.default_rng((*key, 2))
@@ -282,14 +286,7 @@ def generate_instance(scenario, ratio, trial_index):
 
 
 def make_operator(kind, n, p, seed):
-    """Seeded sensing operator of one kind: Gaussian, completion or identity.
-
-    Identity sensing has no randomness and exactly p = n^2 measurements.
-    """
-    if kind == IDENTITY:
-        if p != n * n:
-            raise ValueError(f"identity sensing needs p = n^2 = {n * n} measurements, got {p}")
-        return make_identity_sensing(n)
+    """Seeded sensing operator of one kind, Gaussian or completion."""
     if kind == COMPLETION:
         return make_completion(n, p, seed)
     if kind == GAUSSIAN:
@@ -494,37 +491,38 @@ class RipSurveyRow:
     delta_weighted: float
 
 
-def rip_survey(n, ranks, ratios, samples, seed, scenario=None, operator_kind=GAUSSIAN):
-    """Empirical isometry constants over a (rank, ratio) grid.
+def rip_survey(scenario, ranks, samples):
+    """Empirical isometry constants over the scenario's ratios for each sample rank.
 
-    For every cell the same sample matrices score both the raw operator and
-    its prior-weighted composition. The weighted operator sees the weighted
-    samples Qu Z Qv, so both measure A(Z), and with weights <= 1 the weighted
-    ratio ||A(Z)||^2 / ||Qu Z Qv||^2 is at least the base one. That bounds
-    only the upper side: the weighted M - 1 is at least the base M - 1, but
-    1 - m can shrink, so the weighted delta_hat may fall below the base
-    column where 1 - m sets it. The priors and single-mode weights come from
-    ``scenario`` (default: the close_close preset). ``operator_kind`` may also
-    be "identity" for exact full sensing, in which case every ratio must be
-    1.0.
+    The scenario supplies n, the operator kind, the seed, the sampling ratios
+    and the priors with their single-mode (rmspi) weights; completion at ratio
+    1 senses every entry, an exact isometry. For every cell the same sample
+    matrices score both the raw operator and its prior-weighted composition.
+    The weighted operator sees the weighted samples Qu Z Qv, so both measure
+    A(Z), and with weights <= 1 the weighted ratio ||A(Z)||^2 / ||Qu Z Qv||^2
+    is at least the base one. That bounds only the upper side: the weighted
+    M - 1 is at least the base M - 1, but 1 - m can shrink, so the weighted
+    delta_hat may fall below the base column where 1 - m sets it.
     """
-    if scenario is None:
-        scenario = builtin_presets()["close_close"]
-    r = scenario.rank
-    rng = np.random.default_rng((int(seed), 0))
-    truth_u = random_orthonormal(n, r, rng)
-    truth_v = random_orthonormal(n, r, rng)
+    n, seed = scenario.n, scenario.master_seed
+    for rank in ranks:
+        if not 1 <= rank <= n:
+            raise ValueError(f"sample rank {rank} outside [1, {n}]")
+    rng = np.random.default_rng((seed, 0))
+    truth_u = random_orthonormal(n, scenario.rank, rng)
+    truth_v = random_orthonormal(n, scenario.rank, rng)
     prior_u = perturb_subspace(truth_u, scenario.theta_u, rng)
     prior_v = perturb_subspace(truth_v, scenario.theta_v, rng)
     qu, qv = prior_weighting(scenario, "rmspi", prior_u, prior_v)
 
     rows = []
     for rank in ranks:
-        for ratio in ratios:
+        for ratio in scenario.sampling_ratios:
             p = measurement_count(n, ratio)
-            operator = make_operator(operator_kind, n, p, (int(seed), int(rank), _ratio_key(ratio)))
+            cell = (seed, int(rank), _ratio_key(ratio))
+            operator = make_operator(scenario.operator_kind, n, p, cell)
             weighted = WeightedOperator(operator, qu.q_inv, qv.q_inv)
-            rng_cell = np.random.default_rng((int(seed), int(rank), _ratio_key(ratio), 1))
+            rng_cell = np.random.default_rng((*cell, 1))
             mats = [random_low_rank(n, n, rank, rng_cell) for _ in range(samples)]
             est_base = estimate_rip(operator, rank, samples, sample_mats=mats)
             est_weighted = estimate_rip(

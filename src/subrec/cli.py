@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__, bench
-from .linalg import perturb_subspace, single_blas_thread, svd
+from .linalg import single_blas_thread, svd
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +72,7 @@ def build_parser():
     rip.add_argument("--samples", type=int, default=200)
     rip.add_argument("--seed", type=int, default=1)
     rip.add_argument("--preset", default="close_close", help="scenario supplying priors and weights")
-    rip.add_argument("--kind", default="gaussian", choices=("gaussian", "completion", "identity"))
+    rip.add_argument("--kind", default="gaussian", choices=("gaussian", "completion"))
     rip.add_argument("--csv", help="write the survey table here as CSV")
     rip.set_defaults(func=_cmd_rip)
 
@@ -117,6 +117,8 @@ def _cmd_recover(args):
     # One BLAS thread, as in run_grid, so the trial equals its grid row bit for bit.
     with single_blas_thread():
         try:
+            if args.trial < 0:
+                raise ValueError(f"--trial must be nonnegative, got {args.trial}")
             if args.matrix:
                 scenario, instance = _matrix_trial(args)
             else:
@@ -148,18 +150,11 @@ def _matrix_trial(args):
     scenario = bench.Scenario(
         name="matrix", n=n, rank=args.rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
         theta_u=args.theta_u or default_angles, theta_v=args.theta_v or default_angles, trials=1,
+        master_seed=args.seed,
     )
-    p = bench.measurement_count(n, args.ratio)
-    operator = bench.make_operator(args.kind, n, p, (args.seed, 1))
-
     u, _, vh = svd(matrix)
-    truth_u, truth_v = u[:, :args.rank], vh[:args.rank].T
-    rng = np.random.default_rng((args.seed, 3))
-    prior_u = perturb_subspace(truth_u, scenario.theta_u, rng)
-    prior_v = perturb_subspace(truth_v, scenario.theta_v, rng)
-    instance = bench.Instance(
-        matrix, truth_u, truth_v, operator, operator.apply(matrix), prior_u, prior_v,
-        ratio=args.ratio, trial_index=0, seed=(args.seed,),
+    instance = bench.instance_from_truth(
+        scenario, matrix, u[:, :args.rank], vh[:args.rank].T, args.ratio, 0, (args.seed,)
     )
     return scenario, instance
 
@@ -206,22 +201,21 @@ def _cmd_rip(args):
     try:
         ranks = [int(part) for part in args.ranks.split(",")]
         ratios = [float(part) for part in args.ratios.split(",")]
-        scenario = _load_preset(args.preset)
+        scenario = replace(_load_preset(args.preset), n=args.n, operator_kind=args.kind,
+                           sampling_ratios=ratios, master_seed=args.seed)
         if args.csv:
             _check_writable(args.csv)
-        rows = bench.rip_survey(args.n, ranks, ratios, args.samples, args.seed,
-                                scenario=scenario, operator_kind=args.kind)
+        rows = bench.rip_survey(scenario, ranks, args.samples)
     except ValueError as exc:
         print(f"subrec rip: {exc}", file=sys.stderr)
         return 1
-    print("rank,ratio,p,delta_base,delta_weighted")
-    lines = [f"{r.rank},{r.ratio:g},{r.p},{r.delta_base:.6f},{r.delta_weighted:.6f}" for r in rows]
-    for line in lines:
-        print(line)
+    lines = ["rank,ratio,p,delta_base,delta_weighted"]
+    lines += [f"{r.rank},{r.ratio:g},{r.p},{r.delta_base:.6f},{r.delta_weighted:.6f}" for r in rows]
+    table = "\n".join(lines) + "\n"
+    print(table, end="")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("rank,ratio,p,delta_base,delta_weighted\n")
-            fh.write("\n".join(lines) + "\n")
+            fh.write(table)
     return 0
 
 

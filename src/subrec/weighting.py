@@ -72,7 +72,7 @@ class WeightSpec:
 
     @classmethod
     def per_direction(cls, span, complement):
-        return cls(PER_DIRECTION, tuple(span), tuple(complement))
+        return cls(PER_DIRECTION, span, complement)
 
     @property
     def rank(self):

@@ -455,16 +455,22 @@ def test_matrix_csv_round_trip(tmp_path):
 
 
 def test_rip_survey_identity_and_ordering():
-    rows = rip_survey(8, [1, 2], [1.0], samples=40, seed=5, operator_kind="identity")
+    preset = builtin_presets()["close_close"]
+    # Completion at ratio 1 senses every entry once: an exact isometry.
+    full = dataclasses.replace(
+        preset, n=8, operator_kind="completion", sampling_ratios=(1.0,), master_seed=5
+    )
+    rows = rip_survey(full, [1, 2], samples=40)
     for row in rows:
         assert row.delta_base <= 1e-10
-    gaussian_rows = rip_survey(12, [2, 4], [0.4, 0.8], samples=40, seed=6)
+    gaussian = dataclasses.replace(preset, n=12, sampling_ratios=(0.4, 0.8), master_seed=6)
+    gaussian_rows = rip_survey(gaussian, [2, 4], samples=40)
     for row in gaussian_rows:
         assert row.delta_base <= row.delta_weighted + 1e-10
-    again = rip_survey(12, [2, 4], [0.4, 0.8], samples=40, seed=6)
-    assert gaussian_rows == again
-    with pytest.raises(ValueError):
-        rip_survey(8, [1], [0.5], samples=10, seed=1, operator_kind="identity")
+    assert gaussian_rows == rip_survey(gaussian, [2, 4], samples=40)
+    for rank in (0, 13):
+        with pytest.raises(ValueError, match=rf"^sample rank {rank} outside \[1, 12\]$"):
+            rip_survey(gaussian, [2, rank], samples=10)
 
 
 @pytest.mark.parametrize("solver", ["rmspi", "grmspi"])

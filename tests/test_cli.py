@@ -241,6 +241,11 @@ def test_recover_from_preset_rejects_out_of_range_ratio(capsys):
         assert capsys.readouterr().err == "subrec recover: sampling ratio 1.5 outside (0, 1]\n"
 
 
+def test_recover_rejects_negative_trial(capsys):
+    assert main(["recover", "--preset", "close_close", "--trial", "-1"]) == 1
+    assert capsys.readouterr().err == "subrec recover: --trial must be nonnegative, got -1\n"
+
+
 def test_recover_trial_equals_its_grid_row(monkeypatch, capsys):
     # Gaussian n = 30 at ratio 0.8 is a shape where threaded BLAS kernels give
     # other last bits than one thread, so this holds only because recover runs
@@ -337,20 +342,29 @@ def test_rip_command_bad_args():
     assert main(["rip", "--ranks", "one,two"]) == 1
 
 
+def test_rip_command_rejects_identity_kind(capsys):
+    # Completion at ratio 1 is the exact isometry; there is no identity kind.
+    assert main(["rip", "--kind", "identity", "--ratios", "1.0"]) == 1
+    assert "subrec rip: error: argument --kind: invalid choice: 'identity'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--kind", "completion", "--ratios", "1.5"], "measurement count"),
-        (["--n", "10", "--ratios", "0.001"], "at least one measurement"),
-        (["--kind", "identity", "--ratios", "0.5"], "identity sensing"),
-        (["--n", "4"], "too small to rotate"),
+        (["--kind", "completion", "--ratios", "1.5"], "sampling ratio 1.5 outside (0, 1]"),
+        (["--n", "10", "--ratios", "0.001"], "sampling ratio 0.001 gives no measurements at n = 10"),
+        (["--ratios", "1.5"], "sampling ratio 1.5 outside (0, 1]"),
+        (["--n", "4"], "rank must lie in [1, 2] to build priors"),
         (["--samples", "0"], "need at least one sample"),
+        (["--ranks", "0"], "sample rank 0 outside [1, 30]"),
+        (["--ranks", "3,31"], "sample rank 31 outside [1, 30]"),
     ],
 )
 def test_rip_command_configuration_errors(capsys, args, message):
+    # The survey's scenario is the preset with --n, --kind, --ratios and
+    # --seed replaced, so the Scenario constructor's rules and messages apply.
     assert main(["rip", "--ranks", "1", "--samples", "3", *args]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("subrec rip: ") and message in err
+    assert capsys.readouterr().err == f"subrec rip: {message}\n"
 
 
 def _recover_oracle(matrix, rank, kind, ratio, seed, solver, theta_u, theta_v):

@@ -127,6 +127,9 @@ def test_weight_spec_validation():
         WeightSpec.per_direction((0.5, 0.5), (0.5,))
     with pytest.raises(ValueError):
         WeightSpec("diagonal", 0.5, 0.5)
+    # A scalar in per-direction mode gets the constructor's ValueError naming the field.
+    with pytest.raises(ValueError, match=r"^span_weights must be a list of numbers .* got 0\.2$"):
+        WeightSpec.per_direction(0.2, 0.9)
 
 
 def test_build_rejects_bad_inputs():
