@@ -439,7 +439,9 @@ def run_grid(scenario, threads=1):
     with OpenBLAS on one thread (``linalg.single_blas_thread``, process-wide,
     restored when the grid returns or raises): threaded BLAS kernels are not
     bit-stable across thread counts, and BLAS threads inside pool workers
-    would oversubscribe the cores, so parallelism comes from the pool alone.
+    would oversubscribe the cores. A large Gaussian solve instead splits its
+    passes over the sensing tensor into slabs on the idle cores, at most
+    usable_cpus() // threads per solve, with the same bits as one pass.
     """
     threads = resolve_threads(threads)
     cells = [(ratio, t) for ratio in scenario.sampling_ratios for t in range(scenario.trials)]
@@ -449,7 +451,7 @@ def run_grid(scenario, threads=1):
         instance = generate_instance(scenario, ratio, trial_index)
         return cell, {s: run_trial(instance, s, scenario) for s in scenario.solvers}
 
-    with single_blas_thread():
+    with single_blas_thread(solves=threads):
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 outcomes = dict(pool.map(run_cell, cells))
@@ -505,6 +507,8 @@ def rip_survey(scenario, ranks, samples):
     delta_hat may fall below the base column where 1 - m sets it.
     """
     n, seed = scenario.n, scenario.master_seed
+    if scenario.theta_u is None:
+        raise ValueError("rip_survey needs prior angles theta_u and theta_v; the scenario has none")
     for rank in ranks:
         if not 1 <= rank <= n:
             raise ValueError(f"sample rank {rank} outside [1, {n}]")

@@ -23,6 +23,10 @@ linear map vec(M) -> A(Qu^-1 U M V^T Qv^-1) of the merged support:
 * The residual is y - D vec(M_r), which equals y - A(Qu^-1 U M_r V^T Qv^-1)
   by the definition of D, so no pass over the sensing payload is needed after
   the solve. The design is released before the next iteration.
+
+Under ``linalg.single_blas_thread`` the two passes of an iteration over a large
+Gaussian sensing tensor, the adjoint and the design assembly, split into slabs
+on the idle cores (``linalg.slab_bounds``) with the same bits as one pass.
 """
 
 from dataclasses import dataclass
@@ -51,11 +55,12 @@ STAGNATION_RUN = 3
 GRAM_DIAG_RATIO_MIN = 1e-4
 
 # The Gaussian design is assembled a block of sensing slices at a time, and
-# the block's intermediate g^T A_i (slices x k_u x n doubles) is kept under
-# this many bytes: about half of a core's 4 MiB L2, so the block is still in
-# cache when it is multiplied by h, and a solve never holds the whole
-# p x k_u x n intermediate. Every n = 30 design (at most 1.55 MB at p = 720,
-# k_u = 9) fits in one block; splitting one that small cost about 8 %.
+# the intermediate g^T A_i (slices x k_u x n doubles) of the blocks in flight,
+# one per slab, is kept under this many bytes: about half of a core's 4 MiB
+# L2, so a block is still in cache when it is multiplied by h, and a solve
+# never holds the whole p x k_u x n intermediate. Every n = 30 design (at most
+# 1.55 MB at p = 720, k_u = 9) fits in one block; cutting one that small into
+# blocks cost about 8 %.
 DESIGN_BLOCK_BYTES = 2 * 2**20
 
 
@@ -232,18 +237,24 @@ def least_squares_on_support(op, y, support):
 def _gaussian_design(mats, g, h):
     """The p x (k_u * k_v) design with rows vec(g^T A_i h), streamed in blocks.
 
-    Each block of slices goes through the same per-slice products as one
-    batched call over all of ``mats``, so the design is the same bit for bit;
-    only one block's g^T A_i, at most DESIGN_BLOCK_BYTES (or one slice), is
-    alive at a time.
+    A large ``mats`` splits into slabs of contiguous slices on the idle cores
+    (``linalg.slab_bounds``), each streamed in blocks of DESIGN_BLOCK_BYTES /
+    slabs, so the g^T A_i alive at once stay under DESIGN_BLOCK_BYTES (or one
+    slice per slab). Every block makes the same per-slice products as one
+    batched call over all of ``mats``, so the design is the same bit for bit.
     """
     p, n = mats.shape[:2]
     k_u, k_v = g.shape[1], h.shape[1]
     design = np.empty((p, k_u, k_v))
-    step = max(1, DESIGN_BLOCK_BYTES // (k_u * n * mats.itemsize))
-    for start in range(0, p, step):
-        block = slice(start, start + step)
-        np.matmul(np.matmul(g.T, mats[block]), h, out=design[block])
+    bounds = linalg.slab_bounds(p, mats.nbytes)
+    step = max(1, DESIGN_BLOCK_BYTES // (len(bounds) - 1) // (k_u * n * mats.itemsize))
+
+    def assemble(start, stop):
+        for first in range(start, stop, step):
+            block = slice(first, min(first + step, stop))
+            np.matmul(np.matmul(g.T, mats[block]), h, out=design[block])
+
+    linalg.run_slabs(assemble, bounds)
     return design.reshape(p, k_u * k_v)
 
 

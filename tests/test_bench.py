@@ -473,6 +473,18 @@ def test_rip_survey_identity_and_ordering():
             rip_survey(gaussian, [2, rank], samples=10)
 
 
+def test_rip_survey_without_priors_names_the_missing_angles():
+    # An admira-only scenario carries no prior angles, and the survey weights
+    # its operator from them; it failed deep inside perturb_subspace before.
+    scenario = dataclasses.replace(
+        builtin_presets()["close_close"], n=12, theta_u=None, theta_v=None, solvers=("admira",)
+    )
+    with pytest.raises(
+        ValueError, match=r"^rip_survey needs prior angles theta_u and theta_v; the scenario has none$"
+    ):
+        rip_survey(scenario, [2], samples=10)
+
+
 @pytest.mark.parametrize("solver", ["rmspi", "grmspi"])
 @pytest.mark.parametrize("explicit", [True, False])
 def test_prior_weighting_matches_hand_built_operators(solver, explicit):

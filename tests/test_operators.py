@@ -20,6 +20,15 @@ def test_gaussian_deterministic_under_seed():
     assert a.seed == 42
 
 
+@pytest.mark.parametrize("seed, n, p", [(0, 1, 1), (7, 5, 20), ((4, 2, 1), 12, 100), (31, 30, 720)])
+def test_gaussian_equals_scaled_normal_draw_bit_for_bit(seed, n, p):
+    # make_gaussian scales standard normals in place; that must repeat
+    # gen.normal(0, 1/sqrt(p)) exactly, signs of zeros included.
+    expected = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(p), size=(p, n, n))
+    mats = make_gaussian(n, p, seed).mats
+    assert np.array_equal(mats.view(np.int64), expected.view(np.int64))
+
+
 def test_gaussian_isometric_in_expectation():
     # For a fixed unit-norm matrix, the mean squared measurement norm over
     # fresh operators concentrates near 1.
