@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_solve
 from subrec import solver
 from subrec.linalg import random_orthonormal, svd
 from subrec.operators import (
@@ -641,3 +642,84 @@ def test_unit_rmspi_weights_reproduce_unweighted_solve_bit_for_bit(kind, n, rank
     for a, b in zip(run_w.estimates, run_0.estimates):
         assert np.array_equal(a, b)
     assert np.array_equal(run_w.estimate, run_0.estimate)
+
+
+# A step of the loop is fixed only up to rounding when its choice of subspace
+# nearly ties or its least-squares problem is nearly singular; such draws are
+# skipped below, and every other step must match the reference within
+# REFERENCE_TOL. The library's normal equations lose about cond(D)^2 * eps, so
+# at REFERENCE_COND_MAX that is 1e-10.
+REFERENCE_GAP_MIN = 1e-4
+REFERENCE_COND_MAX = 1e3
+REFERENCE_TOL = 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([GAUSSIAN, COMPLETION]),
+    mode=st.sampled_from([None, "single", "per_direction"]),
+    n=st.integers(6, 12),
+    rank=st.integers(1, 3),
+    ratio=st.floats(0.3, 0.9),
+    noise=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_iterate_is_one_reference_step_from_the_last(kind, mode, n, rank, ratio, noise, seed):
+    # tests/oracles.reference_solve, started from each previous iterate of
+    # the solve, must give that solve's next iterate, residual norm and stop.
+    # It starts from the solve's iterates rather than running free because on
+    # a run that does not contract the loop amplifies rounding: run free, it
+    # drifted from the solve by O(1) on about a tenth of these draws, gaps and
+    # conditioning notwithstanding.
+    rng = np.random.default_rng(seed)
+    p = max(1, int(ratio * n * n))
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    y = op.apply(random_low_rank(n, n, rank, rng))
+    y += noise * np.linalg.norm(y) / np.sqrt(p) * rng.standard_normal(p)
+    weighting = None
+    if mode == "single":
+        spec = WeightSpec.single(0.4, 0.9)
+    else:
+        spec = WeightSpec.per_direction([0.2] * rank, [0.95] * rank)
+    if mode is not None:
+        weighting = tuple(
+            build_weight_operator(random_orthonormal(n, rank, rng), spec, rng=rng) for _ in range(2)
+        )
+    run = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
+    ref = reference_solve(op, y, rank, weighting, follow=run.estimates)
+    # Near-ties: the proxy's 2r-th and (2r+1)-th singular values (support
+    # selection), and the r-th and (r+1)-th ones of an estimate (truncation
+    # and the support carried over). Near-singular designs: two correct
+    # minimum-norm solvers may cut their rank at different singular values.
+    assume(min(ref.support_gaps) > REFERENCE_GAP_MIN)
+    assume(min(ref.rank_gaps) > REFERENCE_GAP_MIN)
+    assume(max(ref.design_conds) < REFERENCE_COND_MAX)
+    assert len(ref.estimates) == run.iterations
+    assert ref.stop_reason == run.stop_reason
+    y_norm = np.linalg.norm(y)
+    for est, ref_est, rec, ref_norm in zip(run.estimates, ref.estimates, run.trace, ref.residual_norms):
+        assert np.linalg.norm(est - ref_est) <= REFERENCE_TOL * np.linalg.norm(ref_est)
+        assert abs(rec.residual_norm - ref_norm) <= REFERENCE_TOL * y_norm
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, COMPLETION])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_solve_matches_the_free_running_reference_loop(kind, weighted):
+    # With the truth's own subspaces as the prior and 80 % sampling the loop
+    # contracts, so the reference loop run on its own stays with the solve
+    # for the whole run; rounding accumulates over up to 20 steps, hence the
+    # looser bound than one step's REFERENCE_TOL.
+    rng = np.random.default_rng(0)
+    n, rank = 10, 2
+    u, v = random_orthonormal(n, rank, rng), random_orthonormal(n, rank, rng)
+    p = int(0.8 * n * n)
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    y = op.apply((u * [2.0, 1.0]) @ v.T)
+    spec = WeightSpec.single(0.4, 0.9)
+    weighting = (build_weight_operator(u, spec), build_weight_operator(v, spec)) if weighted else None
+    run = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
+    ref = reference_solve(op, y, rank, weighting)
+    assert len(ref.estimates) == run.iterations
+    assert ref.stop_reason == run.stop_reason
+    for est, ref_est in zip(run.estimates, ref.estimates):
+        assert np.linalg.norm(est - ref_est) <= 1e-8 * np.linalg.norm(ref_est)
