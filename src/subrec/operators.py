@@ -6,7 +6,7 @@ entries). A WeightedOperator composes a base operator with the inverse
 weighting maps, measuring Z through Qu^-1 Z Qv^-1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,9 @@ class MeasurementOperator:
 
     ``seed`` records the seed material the operator was built from, when
     known, so reports can persist (kind, n, p, seed) instead of the payload.
+    A completion operator works out from ``indices``, once, the flat index
+    ``row * n + col`` of each sampled entry (``flat``) and the n x n 0/1
+    sampling mask (``mask``); the index pairs must be distinct.
     """
 
     kind: str
@@ -31,6 +34,13 @@ class MeasurementOperator:
     mats: np.ndarray = None
     indices: np.ndarray = None
     seed: object = None
+    flat: np.ndarray = field(init=False, default=None, repr=False)
+    mask: np.ndarray = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind == COMPLETION:
+            self.flat = self.indices[:, 0] * self.n + self.indices[:, 1]
+            self.mask = self.scatter(1.0)
 
     def apply(self, x):
         """Measure a matrix: y_i = <x, A_i>_F (Gaussian) or sampled entries."""
@@ -38,7 +48,7 @@ class MeasurementOperator:
         if x.shape != (self.n, self.n):
             raise ValueError(f"expected shape {(self.n, self.n)}, got {x.shape}")
         if self.kind == COMPLETION:
-            return x[self.indices[:, 0], self.indices[:, 1]].copy()
+            return x.take(self.flat)
         return self.mats.reshape(self.p, -1) @ x.ravel()
 
     def adjoint(self, y):
@@ -47,9 +57,7 @@ class MeasurementOperator:
         if y.shape != (self.p,):
             raise ValueError(f"expected {self.p} measurements, got shape {y.shape}")
         if self.kind == COMPLETION:
-            out = np.zeros((self.n, self.n))
-            out[self.indices[:, 0], self.indices[:, 1]] = y
-            return out
+            return self.scatter(y)
         flat = self.mats.reshape(self.p, -1)
         out = np.empty(flat.shape[1])
 
@@ -59,6 +67,12 @@ class MeasurementOperator:
         # Slabs start on multiples of 64 columns, which keeps each one's alignment
         # and vector tails, and so its bits; a boundary at column 37 changed them.
         linalg.run_slabs(accumulate, linalg.slab_bounds(flat.shape[1], self.mats.nbytes, align=64))
+        return out.reshape(self.n, self.n)
+
+    def scatter(self, y):
+        """Completion only: the n x n matrix holding y on the sampled entries, zero elsewhere."""
+        out = np.zeros(self.n * self.n)
+        out[self.flat] = y
         return out.reshape(self.n, self.n)
 
 

@@ -56,11 +56,12 @@ GRAM_DIAG_RATIO_MIN = 1e-4
 
 # The Gaussian design is assembled a block of sensing slices at a time, and
 # the intermediate g^T A_i (slices x k_u x n doubles) of the blocks in flight,
-# one per slab, is kept under this many bytes: about half of a core's 4 MiB
-# L2, so a block is still in cache when it is multiplied by h, and a solve
-# never holds the whole p x k_u x n intermediate. Every n = 30 design (at most
-# 1.55 MB at p = 720, k_u = 9) fits in one block; cutting one that small into
-# blocks cost about 8 %.
+# one per slab, is kept under this many bytes, so a solve never holds the
+# whole p x k_u x n intermediate. It was tuned on a Xeon VM with 4 MiB of L2
+# per core, where a block stayed in cache until it was multiplied by h; the
+# 2-vCPU AMD EPYC VM of later measurements has 1 MiB of L2 per core. Every
+# n = 30 design (at most 1.55 MB at p = 720, k_u = 9) fits in one block;
+# cutting one that small into blocks cost about 8 %.
 DESIGN_BLOCK_BYTES = 2 * 2**20
 
 
@@ -173,18 +174,20 @@ def least_squares_on_support(op, y, support):
     g = Qu^-1 U and h = Qv^-1 V, Gaussian sensing forms the Gram from the
     explicit p x (k_u * k_v) design in about p k^4 flops, and measure(M') is
     D vec(M'). Row i of that design is vec(g^T A_i h) for the sensing matrix
-    A_i, formed as (g^T A_i) h. Both orders cost about 2 p k n^2 flops, but
-    on one core at n = 80, p = 2560, k = 9, where the design pass dominates a
-    solve, this one took 23 ms against 30 ms for g^T (A_i h).
+    A_i, formed as (g^T A_i) h. Both orders cost about 2 p k n^2 flops. At
+    n = 80, p = 2560, k = 9 on one thread this order took 23 ms against 30 ms
+    for g^T (A_i h) on a Xeon VM, but 8.2 ms against 7.6 ms on a 2-vCPU AMD
+    EPYC VM; it is kept because the other order changes the design's bits.
 
     For completion row i of D is g[r_i] kron h[c_i]. With the rows
-    of GG and HH holding g_r kron g_r and h_c kron h_c and S the 0/1 sampling
-    mask, D^T D is GG^T S HH reordered to the (i, j), (i', j') index order,
-    and D^T y = vec(g^T Y h) for the scattered measurements Y: about n k^4
-    flops, without building D. The mask and the scatter rely on the sampled
-    index pairs being distinct, which ``make_completion`` guarantees and the
-    operator's adjoint assumes. measure(M') gathers the sampled entries of
-    g M' h^T.
+    of GG and HH holding g_r kron g_r and h_c kron h_c and S the operator's
+    0/1 sampling mask, D^T D is GG^T S HH reordered to the (i, j), (i', j')
+    index order, and D^T y = vec(g^T Y h) for the measurements Y scattered
+    through the operator's flat index: about n k^4 flops, without building
+    D. The mask and the scatter rely on the sampled index pairs being
+    distinct, which ``make_completion`` guarantees and the operator's adjoint
+    assumes. measure(M') gathers the sampled entries of the n x n product
+    (g M') h^T at the flat index.
 
     The Gram squares the condition number, so the Cholesky solution is kept
     only when the factorization succeeds and the ratio of the factor's
@@ -212,14 +215,14 @@ def least_squares_on_support(op, y, support):
     tall = base.p >= g.shape[1] * h.shape[1]
     coef = None
     if base.kind == COMPLETION:
-        rows, cols = base.indices[:, 0], base.indices[:, 1]
 
         def measure(m):
-            return ((g @ m)[rows] * h[cols]).sum(axis=1)
+            return ((g @ m) @ h.T).take(base.flat)
 
         if tall:
             coef = _cholesky_solve(*_completion_normal_equations(base, g, h, y))
         if coef is None:
+            rows, cols = base.indices[:, 0], base.indices[:, 1]
             design = (g[rows][:, :, None] * h[cols][:, None, :]).reshape(base.p, -1)
     else:
         design = _gaussian_design(base.mats, g, h)
@@ -260,22 +263,23 @@ def _gaussian_design(mats, g, h):
 
 def _completion_normal_equations(base, g, h, y):
     """D^T D and D^T y of a completion design, assembled from the sampling mask."""
-    rows, cols = base.indices[:, 0], base.indices[:, 1]
-    mask = np.zeros((base.n, base.n))
-    mask[rows, cols] = 1.0
-    scattered = np.zeros((base.n, base.n))
-    scattered[rows, cols] = y
     k_u, k_v = g.shape[1], h.shape[1]
     gg = (g[:, :, None] * g[:, None, :]).reshape(base.n, k_u * k_u)
     hh = (h[:, :, None] * h[:, None, :]).reshape(base.n, k_v * k_v)
     # Entry (i i', j j') of GG^T S HH is the Gram entry ((i, j), (i', j')).
-    gram = (gg.T @ (mask @ hh)).reshape(k_u, k_u, k_v, k_v).transpose(0, 2, 1, 3)
-    return gram.reshape(k_u * k_v, k_u * k_v), (g.T @ scattered @ h).ravel()
+    gram = (gg.T @ (base.mask @ hh)).reshape(k_u, k_u, k_v, k_v).transpose(0, 2, 1, 3)
+    return gram.reshape(k_u * k_v, k_u * k_v), (g.T @ base.scatter(y) @ h).ravel()
 
 
 def _cholesky_solve(gram, rhs):
-    """Solve gram x = rhs by Cholesky; None when the factor fails the ratio test."""
-    factor, info = dpotrf(gram, lower=0, clean=0)
+    """Solve gram x = rhs by Cholesky; None when the factor fails the ratio test.
+
+    ``gram`` must be symmetric and is overwritten. Its transpose is the
+    Fortran-ordered array potrf wants, so the factor is formed in place
+    without f2py's copy; where ``gram`` is symmetric only to rounding, as
+    the mask-built completion Gram can be, the factor moves at that level.
+    """
+    factor, info = dpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     if info > 0:

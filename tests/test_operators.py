@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrec.linalg import perturb_subspace, random_orthonormal
 from subrec.operators import (
+    COMPLETION,
+    GAUSSIAN,
+    MeasurementOperator,
     WeightedOperator,
     estimate_rip,
     make_completion,
@@ -11,6 +16,8 @@ from subrec.operators import (
     random_low_rank,
 )
 from subrec.weighting import WeightSpec, build_weight_operator
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def test_gaussian_deterministic_under_seed():
@@ -100,19 +107,60 @@ def test_weighted_identity_reduces_to_base():
     assert np.array_equal(wop.adjoint(y), op.adjoint(y))
 
 
-def test_adjoint_identity_both_kinds():
-    rng = np.random.default_rng(4)
-    ops = [make_gaussian(7, 15, 6), make_completion(7, 20, 7)]
-    prior = random_orthonormal(7, 2, rng)
-    q = build_weight_operator(prior, WeightSpec.single(0.3, 0.9))
-    ops.append(WeightedOperator(ops[0], q.q_inv, q.q_inv))
-    for op in ops:
-        for _ in range(100):
-            x = rng.standard_normal((7, 7))
-            y = rng.standard_normal(op.p if hasattr(op, "p") else op.base.p)
-            lhs = float(op.apply(x) @ y)
-            rhs = float(np.sum(x * op.adjoint(y)))
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+@PROPERTY
+@given(
+    kind=st.sampled_from([GAUSSIAN, COMPLETION]),
+    weighted=st.booleans(),
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_adjoint_identity_both_kinds(kind, weighted, n, seed, data):
+    # <A(X), y> = <X, A*(y)> for random n and p. Completion draws reach both
+    # ends, a single sampled entry (p = 1) and every entry (p = n^2); the
+    # weighted operator has a different weighting on each side.
+    if kind == COMPLETION:
+        p = data.draw(st.one_of(st.just(1), st.just(n * n), st.integers(1, n * n)), label="p")
+    else:
+        p = data.draw(st.integers(1, 3 * n * n), label="p")
+    rng = np.random.default_rng(seed)
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    if weighted:
+        qu, qv = (
+            build_weight_operator(random_orthonormal(n, 1, rng), WeightSpec.single(w, 0.9))
+            for w in rng.uniform(0.05, 1.0, size=2)
+        )
+        op = WeightedOperator(op, qu.q_inv, qv.q_inv)
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal(p)
+    ax, aty = op.apply(x), op.adjoint(y)
+    scale = np.linalg.norm(ax) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(aty)
+    assert abs(ax @ y - np.sum(x * aty)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_completion_flat_index_and_mask_follow_the_index_pairs(n, seed, data):
+    # An operator built directly from index pairs gets the flat index and the
+    # mask that make_completion's gets, and measuring and scattering through
+    # the flat index give the bits of the (row, col) forms.
+    p = data.draw(st.integers(1, n * n), label="p")
+    rng = np.random.default_rng(seed)
+    made = make_completion(n, p, rng)
+    direct = MeasurementOperator(COMPLETION, n, p, indices=made.indices.copy())
+    rows, cols = made.indices[:, 0], made.indices[:, 1]
+    mask = np.zeros((n, n))
+    mask[rows, cols] = 1.0
+    for op in (made, direct):
+        assert np.array_equal(op.flat, np.ravel_multi_index((rows, cols), (n, n)))
+        assert np.array_equal(op.mask, mask)
+    x = rng.standard_normal((n, n))
+    for view in (x, x.T, x[::-1]):
+        assert direct.apply(view).tobytes() == view[rows, cols].tobytes()
+    y = rng.standard_normal(p)
+    scattered = np.zeros((n, n))
+    scattered[rows, cols] = y
+    assert direct.adjoint(y).tobytes() == scattered.tobytes()
 
 
 def test_adjoint_trivial_cases():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_solve
+from oracles import reference_solve, sensing_matrix
 from subrec import solver
-from subrec.linalg import random_orthonormal, svd
+from subrec.linalg import dpotrf, dpotrs, random_orthonormal, svd
 from subrec.operators import (
     COMPLETION,
     GAUSSIAN,
@@ -24,6 +24,7 @@ from subrec.solver import (
     GRAM_DIAG_RATIO_MIN,
     SolverConfig,
     Support,
+    _cholesky_solve,
     _completion_normal_equations,
     _gaussian_design,
     identify_support,
@@ -591,6 +592,57 @@ def test_streamed_gaussian_design_equals_one_batched_product(
     assert streamed.shape == batched.shape
     assert streamed.tobytes() == batched.tobytes()
     assert np.array_equal(measure(m), batched @ m.ravel())
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 8),
+    k_u=st.integers(1, 7),
+    span_weight=st.sampled_from([None, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_completion_measure_equals_explicit_sensing_matrix(n, k_u, span_weight, seed, data):
+    # measure(M) gathers the sampled entries of one n x n product g M h^T; it
+    # must equal the explicit p x n^2 sensing matrix times the de-weighted
+    # U M V^T, with k_u != k_v so that a transposed factor cannot pass.
+    k_u = min(k_u, n - 1)
+    k_v = data.draw(st.integers(1, n).filter(lambda k: k != k_u), label="k_v")
+    rng = np.random.default_rng(seed)
+    op = make_completion(n, data.draw(st.integers(1, n * n), label="p"), rng)
+    wop = _weighted(op, n, rng, span_weight)
+    sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    _, measure = least_squares_on_support(wop, rng.standard_normal(op.p), sup)
+    m = rng.standard_normal((k_u, k_v))
+    expected = sensing_matrix(op) @ wop.deweight(sup.left @ m @ sup.right.T).ravel()
+    assert np.linalg.norm(measure(m) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@PROPERTY
+@given(
+    n=st.integers(3, 8),
+    k_u=st.integers(1, 6),
+    k_v=st.integers(1, 6),
+    oversampling=st.floats(2.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_gram_is_symmetric_and_factored_in_place_bit_for_bit(n, k_u, k_v, oversampling, seed):
+    # D^T D of the Gaussian design is exactly symmetric, so factoring its
+    # transpose in place gives the bits of potrf's copying call, and the
+    # factor really lands in the caller's array.
+    k_u, k_v = min(k_u, n), min(k_v, n)
+    p = int(np.ceil(oversampling * k_u * k_v))
+    rng = np.random.default_rng(seed)
+    op = make_gaussian(n, p, rng)
+    design = _gaussian_design(op.mats, random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
+    gram, rhs = design.T @ design, design.T @ rng.standard_normal(p)
+    assert np.array_equal(gram, gram.T)
+    factor, info = dpotrf(gram, lower=0, clean=0)
+    assert info == 0
+    expected, _ = dpotrs(factor, rhs, lower=0)
+    scratch = gram.copy()
+    assert _cholesky_solve(scratch, rhs).tobytes() == expected.tobytes()
+    assert np.array_equal(np.triu(scratch.T), np.triu(factor))
 
 
 def test_gaussian_least_squares_holds_one_design_block_at_a_time():
