@@ -70,15 +70,17 @@ def reference_solve(op, y, rank, weighting=None, follow=None, max_iterations=20,
     left, right = np.zeros((n, 0)), np.zeros((n, 0))
     residual = y
     run = ReferenceRun([], [], "max_iter", [], [], [])
-    flat = 0
+    flat_run = 0
     steps = max_iterations if follow is None else min(max_iterations, len(follow))
     for t in range(steps):
         if follow is not None and t > 0:
-            weighted_r = follow[t - 1] if weighting is None else qu.q @ follow[t - 1] @ qv.q
-            left, right = _top_subspaces(weighted_r, rank, run.rank_gaps)
+            previous = follow[t - 1] if weighting is None else qu.q @ follow[t - 1] @ qv.q
+            left, right, gap = _top_subspaces(previous, rank)
+            run.rank_gaps.append(gap)
             residual = y - a @ follow[t - 1].ravel()
         proxy = qu_inv @ (a.T @ residual).reshape(n, n) @ qv_inv
-        new_left, new_right = _top_subspaces(proxy, 2 * rank, run.support_gaps)
+        new_left, new_right, gap = _top_subspaces(proxy, 2 * rank)
+        run.support_gaps.append(gap)
         left = _span(np.hstack([new_left, left]))
         right = _span(np.hstack([new_right, right]))
         design = np.column_stack([
@@ -89,7 +91,8 @@ def reference_solve(op, y, rank, weighting=None, follow=None, max_iterations=20,
         coef = (np.linalg.pinv(design) @ y).reshape(left.shape[1], right.shape[1])
         weighted = left @ coef @ right.T
         weighted_r = truncate_rank(weighted, rank)
-        left, right = _top_subspaces(weighted, rank, run.rank_gaps)
+        left, right, gap = _top_subspaces(weighted, rank)
+        run.rank_gaps.append(gap)
         estimate = qu_inv @ weighted_r @ qv_inv
         residual = y - a @ estimate.ravel()
         res_norm = np.linalg.norm(residual)
@@ -100,19 +103,18 @@ def reference_solve(op, y, rank, weighting=None, follow=None, max_iterations=20,
             break
         if len(run.residual_norms) > 1:
             prev = run.residual_norms[-2]
-            flat = flat + 1 if prev - res_norm < stagnation_decrease * prev else 0
-            if flat >= stagnation_run:
+            flat_run = flat_run + 1 if prev - res_norm < stagnation_decrease * prev else 0
+            if flat_run >= stagnation_run:
                 run.stop_reason = "stagnation"
                 break
     return run
 
 
-def _top_subspaces(m, k, gaps=None):
-    """Top-k left and right singular vectors of ``m``; appends the k-th gap to ``gaps``."""
+def _top_subspaces(m, k):
+    """Top-k left and right singular vectors of ``m``, and (s_k - s_{k+1}) / s_1."""
     u, s, vh = np.linalg.svd(m)
-    if gaps is not None:
-        gaps.append((s[k - 1] - s[k]) / s[0] if k < s.size else 1.0)
-    return u[:, :k], vh[:k].T
+    gap = (s[k - 1] - s[k]) / s[0] if k < s.size else 1.0
+    return u[:, :k], vh[:k].T, gap
 
 
 def _span(m, tol=1e-10):
