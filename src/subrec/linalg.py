@@ -3,6 +3,14 @@
 Matrices are plain float ndarrays. A "subspace basis" is an (n, r) ndarray with
 orthonormal columns; functions that construct one guarantee orthonormality to
 roughly 1e-10, and consumers may rely on it.
+
+Some LAPACK routines are called through scipy's f2py wrappers (see
+``_load_flapack``) rather than ``numpy.linalg``: on the loop's small inputs
+numpy's wrapper costs more than the routine. Those wrappers hold the GIL while
+LAPACK runs and ``numpy.linalg`` releases it, so a kernel large enough to
+matter to the other threads of a trial pool stays on numpy. That is why the
+solver's support step takes ``np.linalg.eigh`` of the n x n Gram matrix: the
+30 x 30 support SVD through f2py cost a two-thread pool about 5 %.
 """
 
 import ctypes
@@ -53,7 +61,8 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgeqp3, dorgqr, dpotrf, dpotrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dpotrf, _flapack.dpotrs
+dgeqp3, dgesdd, dorgqr = _flapack.dgeqp3, _flapack.dgesdd, _flapack.dorgqr
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 def as_generator(rng):
@@ -67,11 +76,23 @@ def svd(m):
     """Economy SVD of a finite real matrix.
 
     Returns (u, s, vh) with s nonincreasing and u @ diag(s) @ vh equal to the
-    input to working precision. Raises ValueError on NaN/Inf entries and lets
-    the backend's LinAlgError propagate if the decomposition fails.
+    input to working precision. Raises ValueError on NaN/Inf entries or an
+    input that is not 2-d, and np.linalg.LinAlgError if the decomposition
+    does not converge. LAPACK gesdd (see ``_load_flapack``) is called
+    directly: on the loop's 9 x 9 blocks ``np.linalg.svd``'s wrapper costs
+    more than the decomposition.
     """
     m = np.asarray_chkfinite(m, dtype=float)
-    return np.linalg.svd(m, full_matrices=False)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1]))
+    u, s, vh, info = dgesdd(m, compute_uv=1, full_matrices=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgesdd")
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, s, vh
 
 
 def principal_angles(b1, b2):

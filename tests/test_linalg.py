@@ -53,6 +53,25 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_svd_raises_linalg_error_when_lapack_does_not_converge(monkeypatch):
+    def unconverged(m, compute_uv, full_matrices):
+        return None, None, None, 1
+
+    monkeypatch.setattr(linalg, "dgesdd", unconverged)
+    with pytest.raises(np.linalg.LinAlgError):
+        svd(np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (2, 5), (5, 2)])
+def test_svd_shapes_match_numpy(shape):
+    m = np.arange(float(np.prod(shape))).reshape(shape) ** 1.5
+    got, want = svd(m), np.linalg.svd(m, full_matrices=False)
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        svd(np.ones(3))
+
+
 # Self-checks of the tests' rank-truncation oracle (tests/oracles.py).
 
 

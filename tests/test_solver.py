@@ -76,6 +76,102 @@ def test_identify_support_zero_proxy_and_bad_k():
         identify_support(np.eye(3), 0)
 
 
+def test_identify_support_caps_k_and_rejects_non_finite_proxies():
+    sup = identify_support(np.diag([3.0, 2.0, 1.0]), 5)
+    assert sup.dims == (3, 3)
+    for bad in (np.nan, np.inf):
+        proxy = np.eye(3)
+        proxy[1, 2] = bad
+        with pytest.raises(ValueError):
+            identify_support(proxy, 2)
+
+
+def _projector(basis):
+    return basis @ basis.T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 40),
+    kind=st.sampled_from(["gaussian", "sparse", "weighted", "rank_deficient"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_identify_support_matches_the_full_svd_projectors(n, kind, seed, data):
+    # The Gram's eigenvectors carry an error of about eps s_1^2 / (s_k^2 - s_(k+1)^2),
+    # and so do the right vectors P^T u / s; near-ties are skipped as in the
+    # reference-loop test. In 24,000 probe draws the worst error was 7.5 n
+    # times that bound, hence the factor 32 n.
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(seed)
+    proxy = rng.standard_normal((n, n))
+    if kind == "sparse":
+        # A completion proxy: the sampled entries of a residual, the rest zero.
+        proxy *= rng.random((n, n)) < rng.uniform(0.05, 0.9)
+    elif kind == "weighted":
+        r = max(1, n // 4)
+        weights = [WeightSpec.single(*10.0 ** rng.uniform(-4, 0, 2)) for _ in range(2)]
+        qu, qv = (build_weight_operator(random_orthonormal(n, r, rng), w) for w in weights)
+        proxy = qu.q_inv @ proxy @ qv.q_inv
+    elif kind == "rank_deficient":
+        rank = data.draw(st.integers(1, n), label="rank")
+        proxy = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    assume(proxy.any())
+    sup = identify_support(proxy, k)
+    assert sup.dims == (k, k)
+    for basis in (sup.left, sup.right):
+        assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-10
+    u, s, vh = np.linalg.svd(proxy)
+    s_next = s[k] if k < n else 0.0
+    assume(s[k - 1] - s_next > REFERENCE_GAP_MIN * s[0])
+    bound = 32 * n * np.finfo(float).eps * s[0] ** 2 / ((s[k - 1] + s_next) * (s[k - 1] - s_next))
+    assert np.linalg.norm(_projector(sup.left) - _projector(u[:, :k]), 2) <= bound
+    assert np.linalg.norm(_projector(sup.right) - _projector(vh[:k].T), 2) <= bound
+
+
+@pytest.mark.parametrize("case", ["small_tail", "rank_deficient", "underflow", "overflow"])
+def test_identify_support_falls_back_to_the_full_svd_bit_for_bit(case):
+    # Where the Gram would cost the right basis its orthonormality or its
+    # digits, the support is the full SVD's, exactly as linalg.svd gives it.
+    rng = np.random.default_rng(3)
+    n, k = 12, 4
+    u, v = random_orthonormal(n, n, rng), random_orthonormal(n, n, rng)
+    s = np.linspace(1.0, 0.5, n)
+    if case == "small_tail":
+        s[k - 1 :] = 0.5 * solver.GRAM_SIGMA_RATIO_MIN
+    elif case == "rank_deficient":
+        s[k - 1 :] = 0.0
+    proxy = (u * s) @ v.T
+    if case == "underflow":
+        proxy *= 1e-160
+    elif case == "overflow":
+        proxy *= 1e160
+    sup = identify_support(proxy, k)
+    full_u, _, full_vh = svd(proxy)
+    assert np.array_equal(sup.left, full_u[:, :k])
+    assert np.array_equal(sup.right, full_vh[:k].T)
+
+
+def test_identify_support_just_above_the_guard_keeps_the_gram_path(monkeypatch):
+    rng = np.random.default_rng(4)
+    n, k = 12, 4
+    u, v = random_orthonormal(n, n, rng), random_orthonormal(n, n, rng)
+    s = np.linspace(1.0, 0.5, n)
+    s[k - 1 :] = 1.01 * solver.GRAM_SIGMA_RATIO_MIN
+    s[k - 1] *= 2.0
+    proxy = (u * s) @ v.T
+
+    def no_svd(m):
+        raise AssertionError("the full SVD ran above the guard")
+
+    monkeypatch.setattr(solver.linalg, "svd", no_svd)
+    sup = identify_support(proxy, k)
+    for basis in (sup.left, sup.right):
+        assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-10
+    assert np.linalg.norm(_projector(sup.left) - _projector(u[:, :k]), 2) <= 1e-8
+    assert np.linalg.norm(_projector(sup.right) - _projector(v[:, :k]), 2) <= 1e-8
+
+
 def test_merge_support_idempotent():
     rng = np.random.default_rng(2)
     sup = Support(random_orthonormal(9, 3, rng), random_orthonormal(9, 3, rng))
