@@ -141,6 +141,8 @@ def _matrix_trial(args):
     matrix = bench.read_matrix_csv(args.matrix)
     if not np.isfinite(matrix).all():
         raise ValueError(f"matrix file {args.matrix} contains NaN or Inf entries")
+    if not matrix.any():
+        raise ValueError(f"matrix file {args.matrix} is all zeros")
     if args.rank is None:
         raise ValueError("--rank is required with --matrix")
     n = matrix.shape[0]

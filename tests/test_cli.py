@@ -325,6 +325,20 @@ def test_recover_matrix_non_finite_entry(tmp_path, capsys, bad):
     assert err.startswith("subrec recover: ") and "NaN or Inf" in err
 
 
+def test_recover_matrix_all_zeros_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "zeros.csv"
+    bench.write_matrix_csv(np.zeros((4, 4)), path)
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran on an all-zero matrix")
+
+    monkeypatch.setattr(bench, "run_trial", no_trial)
+    assert main(["recover", "--matrix", str(path), "--rank", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"subrec recover: matrix file {path} is all zeros\n"
+    assert captured.out == ""
+
+
 def test_rip_command(tmp_path, capsys):
     csv = tmp_path / "rip.csv"
     code = main(
