@@ -155,9 +155,9 @@ def identify_support(proxy, k):
     The left basis is the top-k eigenvectors of the Gram matrix P P^T
     (``np.linalg.eigh``), the right basis is P^T times it with each column
     scaled to unit norm, and those norms are the singular values s_i. On the
-    30 x 30 proxies of a completion solve this took 42 us against 60 us for the
-    full SVD (one thread, 2-vCPU AMD EPYC VM), and 253 against 379 us at
-    n = 80. The Gram squares the spread of the singular values, so the right
+    proxies of close_close solves (one thread, 2-vCPU AMD EPYC VM) the whole
+    step took 53 us against 64 us for ``np.linalg.svd`` at n = 30
+    (completion) and 286 against 416 us at n = 80 (Gaussian). The Gram squares the spread of the singular values, so the right
     columns are orthogonal only to about eps s_1^2 / (s_i s_j). Where that
     could exceed ORTHO_DROP_TOL (see GRAM_SIGMA_RATIO_MIN), or where the Gram
     would overflow or lose digits to underflow, the support is read off the

@@ -68,6 +68,9 @@ def test_svd_shapes_match_numpy(shape):
     got, want = svd(m), np.linalg.svd(m, full_matrices=False)
     assert [a.shape for a in got] == [a.shape for a in want]
     assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+
+
+def test_svd_rejects_non_2d_input():
     with pytest.raises(ValueError):
         svd(np.ones(3))
 
