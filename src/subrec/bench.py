@@ -11,6 +11,7 @@ import json
 import math
 import statistics
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -147,6 +148,10 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg):
+        if not isinstance(cfg, Mapping):
+            raise ValueError(
+                f"a scenario must be a JSON object of fields, got {type(cfg).__name__}"
+            )
         extra = set(cfg) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")

@@ -270,12 +270,12 @@ def perturb_subspace(basis, target_angles_deg, rng):
     angles between the input and output spans are exactly sorted(target_angles).
     Requires ambient_dim >= 2 * rank to host the complement frame.
     """
-    basis = np.asarray(basis, dtype=float)
+    basis = np.asarray_chkfinite(basis, dtype=float)
     n, r = basis.shape
     angles = np.asarray(target_angles_deg, dtype=float)
     if angles.shape != (r,):
         raise ValueError(f"need {r} angles, got shape {angles.shape}")
-    if np.any(angles < 0.0) or np.any(angles > 90.0):
+    if not np.all((angles >= 0.0) & (angles <= 90.0)):
         raise ValueError("target angles must lie in [0, 90] degrees")
     if n < 2 * r:
         raise ValueError(f"ambient dimension {n} too small to rotate {r} directions")

@@ -115,7 +115,8 @@ class WeightedOperator:
     """Base operator composed with the inverse weightings on both sides.
 
     apply(Z) = base.apply(qu_inv @ Z @ qv_inv); a None factor means identity,
-    which makes the unweighted reduction exact rather than approximate.
+    which makes the unweighted reduction exact rather than approximate. A
+    factor that is not n x n raises ValueError.
     """
 
     base: MeasurementOperator
@@ -123,6 +124,12 @@ class WeightedOperator:
     qv_inv: np.ndarray = None
 
     def __post_init__(self):
+        for factor in (self.qu_inv, self.qv_inv):
+            if factor is not None and np.shape(factor) != (self.n, self.n):
+                raise ValueError(
+                    f"weighting factor of shape {np.shape(factor)} does not match "
+                    f"the {self.n} x {self.n} operator"
+                )
         # An exact identity factor is dropped. Multiplying by it keeps every
         # value but turns -0.0 into +0.0, and the sign of a zero steers the
         # Householder reflectors of LAPACK's SVD and gelsd, so unit weights

@@ -353,13 +353,9 @@ def solve(operator, y, config):
     if r > n:
         raise ValueError(f"rank {r} exceeds matrix dimension {n}")
 
-    if config.weighting is None:
-        wop = WeightedOperator(operator)
-    else:
-        qu, qv = config.weighting
-        if qu.q.shape != (n, n) or qv.q.shape != (n, n):
-            raise ValueError("weighting operators do not match the matrix shape")
-        wop = WeightedOperator(operator, qu.q_inv, qv.q_inv)
+    weighting = config.weighting
+    qu_inv, qv_inv = (None, None) if weighting is None else (q.q_inv for q in weighting)
+    wop = WeightedOperator(operator, qu_inv, qv_inv)
 
     support = Support.empty(n)
     y_norm = float(np.linalg.norm(y))

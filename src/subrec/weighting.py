@@ -1,13 +1,19 @@
 """Subspace-prior weighting operators.
 
 A weighting operator Q is a symmetric positive-definite matrix that shrinks
-directions believed to carry the signal: Q has eigenvalue w on each weighted
-direction and 1 elsewhere, with every w in (0, 1]. Two forms are supported:
+directions believed to carry the signal. Both forms are one formula,
 
-* single:        Q = w_span * P + w_comp * (I - P) for the prior projector P;
-* per_direction: each prior column gets its own span weight, and exactly r
-  complement directions get the complement weights; the remaining n - 2r
-  directions keep weight 1.
+    Q = c I + B diag(w - c) B^T,    Q^-1 = I / c + B diag(1/w - 1/c) B^T,
+
+for an orthonormal basis B, so Q has eigenvalue w_i on column i of B and c
+on the rest of the space, with every weight in (0, 1]:
+
+* single:        B is the prior basis, w its span weight on every column and
+  c the complement weight, so Q = w_span * P + w_comp * (I - P) for the
+  prior projector P;
+* per_direction: B is the prior followed by r weighted complement
+  directions, w their span then complement weights, and c = 1, so the
+  remaining n - 2r directions keep weight 1.
 
 Small weight = trusted direction (cheap to use, amplified by Q^-1).
 """
@@ -107,52 +113,59 @@ class WeightOperator:
 def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     """Assemble Q and Q^-1 for a prior basis and a weight specification.
 
+    Both modes take the module's one formula; a non-finite prior or reference
+    raises ValueError.
+
     In per-direction mode the r weighted complement directions are the ones
     most aligned with ``complement_reference`` (normally the ground-truth
     subspace, so the directions that actually interact with the principal
     angles get the weights, ordered to match them). Without a reference the
     directions are drawn at random from the complement, which requires ``rng``.
     """
-    prior = np.asarray(prior, dtype=float)
+    prior = np.asarray_chkfinite(prior, dtype=float)
     if prior.ndim != 2:
         raise ValueError("prior basis must be 2-d")
     n, r = prior.shape
     if np.linalg.norm(prior.T @ prior - np.eye(r)) > 1e-8:
         raise ValueError("prior basis columns are not orthonormal")
 
-    # Both forms are assembled as identity plus low-rank corrections, so unit
-    # weights contribute exactly nothing (the all-ones operator is exactly I).
+    dirs = None
     if spec.mode == SINGLE:
-        w_span = spec.span_weights
-        w_comp = spec.complement_weights
-        eye = np.eye(n)
-        p_span = prior @ prior.T
-        q = w_comp * eye + (w_span - w_comp) * p_span
-        q_inv = (1.0 / w_comp) * eye + (1.0 / w_span - 1.0 / w_comp) * p_span
-        return WeightOperator(q, q_inv)
-
-    if spec.rank != r:
-        raise ValueError(f"spec carries {spec.rank} weights but prior has rank {r}")
-    if n < 2 * r:
-        raise ValueError(f"ambient dimension {n} cannot host {r} weighted complement directions")
-    dirs = _weighted_complement_directions(prior, complement_reference, rng)
-    w_span = np.asarray(spec.span_weights)
-    w_comp = np.asarray(spec.complement_weights)
-    eye = np.eye(n)
-    q = eye + (prior * (w_span - 1.0)) @ prior.T + (dirs * (w_comp - 1.0)) @ dirs.T
-    q_inv = (
-        eye
-        + (prior * (1.0 / w_span - 1.0)) @ prior.T
-        + (dirs * (1.0 / w_comp - 1.0)) @ dirs.T
-    )
+        c = spec.complement_weights
+        basis = prior
+        w = np.full(r, spec.span_weights)
+    else:
+        if spec.rank != r:
+            raise ValueError(f"spec carries {spec.rank} weights but prior has rank {r}")
+        if n < 2 * r:
+            raise ValueError(f"ambient dimension {n} cannot host {r} weighted complement directions")
+        dirs = _weighted_complement_directions(prior, complement_reference, rng)
+        c = 1.0
+        basis = np.hstack([prior, dirs])
+        w = np.array(spec.span_weights + spec.complement_weights)
+    q = _scaled_identity_plus_low_rank(c, basis, w)
+    q_inv = _scaled_identity_plus_low_rank(1.0 / c, basis, 1.0 / w)
     return WeightOperator(q, q_inv, dirs)
+
+
+def _scaled_identity_plus_low_rank(c, basis, w):
+    """c I + B diag(w - c) B^T, equal to its transpose bit for bit.
+
+    The adjoint of a weighted operator and the least-squares design take Q^-1
+    to be symmetric, and a rounding-level asymmetry put near-zero-weight
+    solves past the pinv oracle's 1e-10, so the low-rank term is averaged with
+    its transpose. Weights equal to c contribute exact zeros, so unit weights
+    give exactly I.
+    """
+    low = (basis * (w - c)) @ basis.T
+    return c * np.eye(basis.shape[0]) + 0.5 * (low + low.T)
 
 
 def _weighted_complement_directions(prior, reference, rng):
     n, r = prior.shape
     complement = np.linalg.svd(prior, full_matrices=True)[0][:, r:]
     if reference is not None:
-        reference = np.asarray(reference, dtype=float)
+        reference = np.asarray_chkfinite(reference, dtype=float)
         if reference.shape[0] != n or reference.shape[1] < r:
             raise ValueError("complement reference has incompatible shape")
         left = np.linalg.svd(complement.T @ reference, full_matrices=False)[0]
@@ -180,7 +193,7 @@ def angles_to_weights(angles_deg, mode=PER_DIRECTION):
     available; this map is only a reasonable default.
     """
     angles = np.asarray(angles_deg, dtype=float)
-    if np.any(angles < 0.0) or np.any(angles > 90.0):
+    if not np.all((angles >= 0.0) & (angles <= 90.0)):
         raise ValueError("angles must lie in [0, 90] degrees")
     if mode == SINGLE:
         mean = float(np.mean(angles))

@@ -74,6 +74,20 @@ def test_bench_command_rejects_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, kind",
+    [("[]", "list"), ("3", "int"), ("null", "NoneType"), ('[["n", 5]]', "list"), ('"x"', "str")],
+)
+def test_bench_command_rejects_a_scenario_file_that_is_not_an_object(
+    tmp_path, capsys, text, kind
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["bench", str(bad)]) == 1
+    message = f"a scenario must be a JSON object of fields, got {kind}"
+    assert capsys.readouterr().err == f"subrec bench: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args, env, message",
     [
         (["--threads", "0"], None, "threads must be at least 1, got 0"),

@@ -201,6 +201,20 @@ def test_perturb_subspace_needs_room():
         perturb_subspace(random_orthonormal(10, 3, rng), [1.0, 1.0, 91.0], rng)
 
 
+def test_perturb_subspace_rejects_non_finite_input():
+    # NaN fails every comparison, so a range check written as "reject if
+    # below or above" let a NaN angle through to a NaN basis.
+    rng = np.random.default_rng(9)
+    b = random_orthonormal(10, 3, rng)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="angles must lie in"):
+            perturb_subspace(b, [1.0, bad, 1.0], rng)
+        basis = b.copy()
+        basis[2, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            perturb_subspace(basis, [1.0, 1.0, 1.0], rng)
+
+
 def test_orthonormalize_keeps_span_of_orthonormal_input():
     rng = np.random.default_rng(10)
     q = random_orthonormal(9, 4, rng)

@@ -406,6 +406,11 @@ def test_solve_input_validation():
         SolverConfig(rank=0)
     with pytest.raises(ValueError):
         SolverConfig(rank=2, residual_tolerance=0.0)
+    # A weighting built for another n is rejected before any iteration.
+    rng = np.random.default_rng(22)
+    q = build_weight_operator(random_orthonormal(7, 2, rng), WeightSpec.single(0.5, 0.9))
+    with pytest.raises(ValueError, match="does not match the 6 x 6 operator"):
+        solve(op, np.ones(12), SolverConfig(rank=2, weighting=(q, q)))
 
 
 # Property tests over random shapes. Derandomized so that the suite runs the
@@ -542,22 +547,30 @@ def test_least_squares_rank_deficient_tall_designs_take_gelsd(n, k_u, k_v, overs
     k_u=st.integers(2, 6),
     k_v=st.integers(1, 6),
     span_weight=st.floats(1e-6, 1e-5),
+    per_direction=st.booleans(),
     oversampling=st.floats(2.0, 4.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_least_squares_ill_conditioned_tall_designs_take_gelsd(
-    n, k_u, k_v, span_weight, oversampling, seed
+    n, k_u, k_v, span_weight, per_direction, oversampling, seed
 ):
     # A near-zero weight on the first direction of the left basis scales k_v
     # design columns by 1 / span_weight, so cond(D) is about 1e5 to 1e6 and
     # the Cholesky diagonal ratio about span_weight, below GRAM_DIAG_RATIO_MIN.
+    # Both weight modes must give a Q^-1 that is symmetric bit for bit: an
+    # asymmetry at rounding level, amplified by 1 / span_weight, moved
+    # per-direction solves past ORACLE_TOL.
     assert span_weight < GRAM_DIAG_RATIO_MIN
     k_u, k_v = min(k_u, n), min(k_v, n)
     p = int(np.ceil(oversampling * k_u * k_v))
     rng = np.random.default_rng(seed)
     op = make_gaussian(n, p, rng)
     left = random_orthonormal(n, k_u, rng)
-    q = build_weight_operator(left[:, :1], WeightSpec.single(span_weight, 1.0))
+    if per_direction:
+        spec = WeightSpec.per_direction((span_weight,), (1.0,))
+    else:
+        spec = WeightSpec.single(span_weight, 1.0)
+    q = build_weight_operator(left[:, :1], spec, rng=rng)
     sup = Support(left, random_orthonormal(n, k_v, rng))
     _check_against_oracle(WeightedOperator(op, q.q_inv, None), rng.standard_normal(p), sup, 1)
 

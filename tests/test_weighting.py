@@ -26,7 +26,8 @@ def test_unit_weights_give_exact_identity():
     op_pd = build_weight_operator(
         prior, WeightSpec.per_direction((1.0,) * 3, (1.0,) * 3), rng=rng
     )
-    assert np.allclose(op_pd.q, np.eye(12), atol=1e-15)
+    assert np.array_equal(op_pd.q, np.eye(12))
+    assert np.array_equal(op_pd.q_inv, np.eye(12))
 
 
 def test_single_mode_eigenvalues():
@@ -86,7 +87,9 @@ def test_invert_identity_and_reciprocal():
 )
 def test_q_times_q_inv_is_identity(mode, n, seed, data):
     # Q^-1 scales by up to 1/w_min, so Q Q^-1 carries rounding of about
-    # n eps / w_min; 12,000 probe draws reached 1.9 times that.
+    # n eps / w_min; 12,000 probe draws reached 1.9 times that. Both factors
+    # must also equal their transposes bit for bit, which the adjoint of a
+    # weighted operator and the least-squares design rely on.
     r = data.draw(st.integers(1, n // 2), label="r")
     count = 1 if mode == SINGLE else r
     exponents = st.lists(st.floats(-8.0, 0.0), min_size=count, max_size=count)
@@ -100,6 +103,8 @@ def test_q_times_q_inv_is_identity(mode, n, seed, data):
     w_min = min(span.min(), comp.min())
     bound = 4 * n * np.finfo(float).eps / w_min
     assert np.linalg.norm(op.q @ op.q_inv - np.eye(n)) <= bound
+    assert np.array_equal(op.q, op.q.T)
+    assert np.array_equal(op.q_inv, op.q_inv.T)
 
 
 def test_operator_norm_at_most_one_and_contractive():
@@ -161,6 +166,22 @@ def test_build_rejects_bad_inputs():
         build_weight_operator(small, WeightSpec.per_direction((0.5,) * 3, (0.5,) * 3), rng=rng)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_rejects_non_finite_prior_and_reference(value):
+    # A NaN prior slipped past the orthonormality check (nan > 1e-8 is False)
+    # and gave a NaN Q; a NaN reference failed inside LAPACK.
+    rng = np.random.default_rng(10)
+    prior = random_orthonormal(10, 3, rng)
+    bad = prior.copy()
+    bad[4, 1] = value
+    spec = WeightSpec.per_direction((0.5,) * 3, (0.5,) * 3)
+    for mode_spec in (WeightSpec.single(0.5, 0.9), spec):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            build_weight_operator(bad, mode_spec, rng=rng)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        build_weight_operator(prior, spec, complement_reference=bad)
+
+
 def test_angle_weight_map_endpoints():
     spec0 = angles_to_weights([0.0, 0.0], SINGLE)
     assert abs(spec0.span_weights - 0.1) <= 1e-12
@@ -186,6 +207,8 @@ def test_angle_weight_map_values():
         angles_to_weights([-1.0], SINGLE)
     with pytest.raises(ValueError):
         angles_to_weights([95.0], PER_DIRECTION)
+    with pytest.raises(ValueError, match="angles must lie in"):
+        angles_to_weights([10.0, np.nan], PER_DIRECTION)
 
 
 def test_weight_spec_config_round_trip():
