@@ -12,12 +12,12 @@ import math
 import statistics
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import analysis
+from . import analysis, linalg
 from .linalg import perturb_subspace, random_orthonormal, single_blas_thread
 from .operators import (
     COMPLETION,
@@ -250,31 +250,39 @@ class Instance:
     seed: tuple
 
 
-def generate_instance(scenario, ratio, trial_index):
+def _cell_key(scenario, ratio, trial_index):
+    """The seed key (master_seed, ratio, trial) of one cell of a grid."""
+    return (int(scenario.master_seed), _ratio_key(ratio), int(trial_index))
+
+
+def generate_instance(scenario, ratio, trial_index, operator=None):
     """Build the seeded problem for one (ratio, trial) cell.
 
     The ground truth is U diag(s) V^T with Haar factors and singular values
     uniform in [1, 2], drawn from the cell key (master_seed, ratio, trial)
-    extended by 0; ``instance_from_truth`` senses it under the same key.
+    extended by 0; ``instance_from_truth`` senses it under the same key, with
+    ``operator`` when the cell's operator was already drawn.
     """
-    key = (int(scenario.master_seed), _ratio_key(ratio), int(trial_index))
+    key = _cell_key(scenario, ratio, trial_index)
     rng_truth = np.random.default_rng((*key, 0))
     truth_u = random_orthonormal(scenario.n, scenario.rank, rng_truth)
     truth_v = random_orthonormal(scenario.n, scenario.rank, rng_truth)
     sigma = np.sort(rng_truth.uniform(1.0, 2.0, size=scenario.rank))[::-1]
     truth = (truth_u * sigma) @ truth_v.T
-    return instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key)
+    return instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key, operator)
 
 
-def instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key):
+def instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key, operator=None):
     """Sense ``truth`` as the scenario's cell at ``ratio``, seeded by the tuple ``key``.
 
-    The operator draws from (*key, 1). Optional noise adds a vector of the
-    scenario's relative norm in a uniformly random direction from (*key, 2).
-    Priors tilt truth_u and truth_v by the scenario's angles, from (*key, 3).
+    The operator draws from (*key, 1), here unless it is given. Optional
+    noise adds a vector of the scenario's relative norm in a uniformly random
+    direction from (*key, 2). Priors tilt truth_u and truth_v by the
+    scenario's angles, from (*key, 3).
     """
     p = measurement_count(scenario.n, ratio)
-    operator = make_operator(scenario.operator_kind, scenario.n, p, (*key, 1))
+    if operator is None:
+        operator = make_operator(scenario.operator_kind, scenario.n, p, (*key, 1))
     y = operator.apply(truth)
     if scenario.noise_level > 0.0:
         rng_noise = np.random.default_rng((*key, 2))
@@ -446,22 +454,25 @@ def run_grid(scenario, threads=1):
     bit-stable across thread counts, and BLAS threads inside pool workers
     would oversubscribe the cores. A large Gaussian solve instead splits its
     passes over the sensing tensor into slabs on the idle cores, at most
-    usable_cpus() // threads per solve, with the same bits as one pass.
+    usable_cpus() // threads per solve, with the same bits as one pass. A
+    serial grid on more than one core draws the next cell's Gaussian tensor
+    on an idle core while the current cell's trials run (see
+    ``_run_serially``); the draw is seeded by its cell, so the rows stay the
+    same bit for bit.
     """
     threads = resolve_threads(threads)
-    cells = [(ratio, t) for ratio in scenario.sampling_ratios for t in range(scenario.trials)]
 
-    def run_cell(cell):
-        ratio, trial_index = cell
-        instance = generate_instance(scenario, ratio, trial_index)
-        return cell, {s: run_trial(instance, s, scenario) for s in scenario.solvers}
+    def run_cell(cell, operator=None):
+        instance = generate_instance(scenario, *cell, operator=operator)
+        return {s: run_trial(instance, s, scenario) for s in scenario.solvers}
 
     with single_blas_thread(solves=threads):
         if threads > 1:
+            cells = [(r, t) for r in scenario.sampling_ratios for t in range(scenario.trials)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = dict(pool.map(run_cell, cells))
+                outcomes = dict(zip(cells, pool.map(run_cell, cells)))
         else:
-            outcomes = dict(map(run_cell, cells))
+            outcomes = _run_serially(scenario, run_cell)
 
     rows = []
     aggregates = []
@@ -487,6 +498,48 @@ def run_grid(scenario, threads=1):
                 )
             )
     return Report(scenario=scenario, aggregates=aggregates, trials=rows)
+
+
+def _run_serially(scenario, run_cell):
+    """Run every cell on this thread, trial-major, and return {cell: run_cell(cell)}.
+
+    While cell k's trials run, cell k+1's Gaussian sensing operator is drawn
+    on a core the BLAS pin leaves idle (numpy's sampler releases the GIL), and
+    cell k+1 takes it instead of drawing its own. That holds one more tensor
+    alive, so it runs only for a tensor of at most ``linalg.SLAB_MIN_BYTES``:
+    a larger one is a solve that already takes the idle cores for its slabs.
+    A completion operator is p index pairs, too quick a draw to hand over.
+    Trial-major order (every ratio of trial 0, then of trial 1, ...) follows
+    each largest tensor with a smaller one. A failed draw raises when its
+    cell takes it, and a draw still running when a cell raises is awaited,
+    so none outlives the call.
+    """
+    cells = [(r, t) for t in range(scenario.trials) for r in scenario.sampling_ratios]
+    n = scenario.n
+    spare_core = scenario.operator_kind == GAUSSIAN and 1 < linalg.usable_cpus()
+
+    def draw_ahead(cell):
+        ratio, trial_index = cell
+        p = measurement_count(n, ratio)
+        if not spare_core or 8 * p * n * n > linalg.SLAB_MIN_BYTES:
+            return None
+        # The seed instance_from_truth draws the operator from. The tensor is
+        # allocated on this thread: allocated by the drawing thread, freed
+        # tensors stayed in its malloc arena, and perfbench's gauss_n30 peak
+        # RSS rose 15 % instead of 10 % (2-vCPU EPYC VM).
+        seed = (*_cell_key(scenario, ratio, trial_index), 1)
+        return linalg.run_on_spare_core(make_gaussian, n, p, seed, np.empty((p, n, n)))
+
+    outcomes, ahead = {}, None
+    try:
+        for k, cell in enumerate(cells):
+            operator = None if ahead is None else ahead.result()
+            ahead = draw_ahead(cells[k + 1]) if k + 1 < len(cells) else None
+            outcomes[cell] = run_cell(cell, operator)
+    finally:
+        if ahead is not None:
+            wait([ahead])
+    return outcomes
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,15 @@ def run_slabs(work, bounds):
         future.result()
 
 
+def run_on_spare_core(fn, *args):
+    """Start fn(*args) on the slab pool's threads and return its Future.
+
+    ``fn`` must not run slabs itself: with the pool's one thread on a 2-core
+    machine it would wait for a slab queued behind itself.
+    """
+    return _slab_pool.submit(fn, *args)
+
+
 def random_orthonormal(n, r, rng):
     """Haar-distributed (n, r) frame with orthonormal columns."""
     if r > n:

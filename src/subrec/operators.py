@@ -76,11 +76,12 @@ class MeasurementOperator:
         return out.reshape(self.n, self.n)
 
 
-def make_gaussian(n, p, rng):
+def make_gaussian(n, p, rng, out=None):
     """Gaussian sensing operator: p matrices with iid N(0, 1/p) entries.
 
     The variance makes the map an isometry in expectation,
     E ||A(X)||^2 = ||X||_F^2, so empirical isometry constants are meaningful.
+    The tensor fills ``out``, a (p, n, n) float array, when one is given.
     """
     if p < 1:
         raise ValueError("need at least one measurement")
@@ -88,7 +89,7 @@ def make_gaussian(n, p, rng):
     gen = as_generator(rng)
     # Scaling standard normals in place gives gen.normal(0, 1/sqrt(p))'s values
     # bit for bit, in 144 ms against 156 ms at n = 80, p = 2560 (2-core EPYC VM).
-    mats = gen.standard_normal((p, n, n))
+    mats = gen.standard_normal((p, n, n), out=out)
     mats *= 1.0 / np.sqrt(p)
     return MeasurementOperator(GAUSSIAN, n, p, mats=mats, seed=seed)
 

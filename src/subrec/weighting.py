@@ -18,6 +18,7 @@ on the rest of the space, with every weight in (0, 1]:
 Small weight = trusted direction (cheap to use, amplified by Q^-1).
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,10 @@ class WeightSpec:
 
     @classmethod
     def from_config(cls, cfg):
+        if not isinstance(cfg, Mapping):
+            raise ValueError(
+                f"a weight spec must be a JSON object of fields, got {type(cfg).__name__}"
+            )
         extra = set(cfg) - {"mode", "span_weights", "complement_weights"}
         if extra:
             raise ValueError(f"unknown weight-spec keys: {sorted(extra)}")
@@ -193,6 +198,8 @@ def angles_to_weights(angles_deg, mode=PER_DIRECTION):
     available; this map is only a reasonable default.
     """
     angles = np.asarray(angles_deg, dtype=float)
+    if angles.size == 0:
+        raise ValueError("need at least one angle")
     if not np.all((angles >= 0.0) & (angles <= 90.0)):
         raise ValueError("angles must lie in [0, 90] degrees")
     if mode == SINGLE:

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from subrec.bench import (
     write_report_json,
 )
 from subrec.linalg import principal_angles
+from subrec.operators import COMPLETION
 from subrec.weighting import (
     PER_DIRECTION,
     SINGLE,
@@ -162,8 +165,8 @@ def test_nan_measurement_in_grid_reaches_diagnostic(monkeypatch):
     bad_cell = (0.8, 1)
     real = bench.generate_instance
 
-    def with_nan(scenario, ratio, trial_index):
-        instance = real(scenario, ratio, trial_index)
+    def with_nan(scenario, ratio, trial_index, operator=None):
+        instance = real(scenario, ratio, trial_index, operator=operator)
         if (ratio, trial_index) == bad_cell:
             y = instance.y.copy()
             y[5] = np.nan
@@ -296,7 +299,7 @@ def test_run_grid_runs_every_trial_on_one_blas_thread(monkeypatch, blas_two_thre
 
 
 def test_run_grid_restores_blas_threads_when_a_cell_raises(monkeypatch, blas_two_threads):
-    def broken(scenario, ratio, trial_index):
+    def broken(scenario, ratio, trial_index, operator=None):
         raise RuntimeError("instance generation failed")
 
     monkeypatch.setattr(bench, "generate_instance", broken)
@@ -318,6 +321,138 @@ def test_run_grid_without_blas_setter_returns_the_same_rows(monkeypatch):
         pooled = _strip_wall_time(report_to_dict(run_grid(sc, threads=2)))
     assert serial == pinned
     assert pooled == pinned
+
+
+class DrawSpy:
+    """Records every sensing draw of a grid: whether it ran ahead, and its BLAS counts.
+
+    A draw made outside a call of ``bench.generate_instance`` on its thread is
+    a lookahead draw. Each draw sleeps ``delay`` seconds first, so one still
+    running when ``run_grid`` exits shows up in ``running``.
+    """
+
+    def __init__(self, monkeypatch, delay=0.0, fail_on_p=None):
+        self.ahead, self.inline, self.blas = [], [], []
+        self.started = self.running = 0
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        for name in ("make_gaussian", "make_completion"):
+            monkeypatch.setattr(bench, name, self._maker(getattr(bench, name), delay, fail_on_p))
+        real_generate = bench.generate_instance
+
+        def generate(*args, **kwargs):
+            self._local.generating = True
+            try:
+                return real_generate(*args, **kwargs)
+            finally:
+                self._local.generating = False
+
+        monkeypatch.setattr(bench, "generate_instance", generate)
+
+    def _maker(self, real, delay, fail_on_p):
+        def make(n, p, seed, *rest):
+            with self._lock:
+                self.started += 1
+                self.running += 1
+            try:
+                time.sleep(delay)
+                self.blas.append(_blas_counts())
+                (self.inline if getattr(self._local, "generating", False) else self.ahead).append(p)
+                if p == fail_on_p:
+                    raise RuntimeError(f"draw of p = {p} failed")
+                return real(n, p, seed, *rest)
+            finally:
+                with self._lock:
+                    self.running -= 1
+
+        return make
+
+
+@pytest.fixture
+def spare_core(monkeypatch):
+    """Two usable CPUs, so a serial grid sees one core the pin leaves idle."""
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: 2)
+
+
+def test_serial_gaussian_grid_draws_ahead_under_the_blas_pin(
+    monkeypatch, blas_two_threads, spare_core
+):
+    sc = small_scenario(sampling_ratios=[0.4, 0.8], trials=2)
+    spy = DrawSpy(monkeypatch)
+    report = _strip_wall_time(report_to_dict(run_grid(sc)))
+    # Trial-major: (0.4, 0) draws inline, then (0.8, 0), (0.4, 1), (0.8, 1) ahead.
+    assert spy.inline == [360] and spy.ahead == [720, 360, 720]
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: 1)
+    assert _strip_wall_time(report_to_dict(run_grid(sc))) == report
+    assert spy.ahead == [720, 360, 720]
+    if not linalg.openblas_thread_controls():
+        pytest.skip("no OpenBLAS thread setter found; the pin is a no-op")
+    ones = [1] * len(linalg.openblas_thread_controls())
+    assert all(counts == ones for counts in spy.blas)
+
+
+def test_no_lookahead_draw_outlives_run_grid(monkeypatch, blas_two_threads, spare_core):
+    sc = small_scenario(sampling_ratios=[0.4, 0.8], trials=2)
+    spy = DrawSpy(monkeypatch, delay=0.05)
+    run_grid(sc)
+    assert spy.started == 4 and spy.running == 0
+    # The second cell raises while the third cell's draw is in flight.
+    generate = bench.generate_instance
+    calls = []
+
+    def broken_second(*args, **kwargs):
+        calls.append(args[1:3])
+        if len(calls) == 2:
+            raise RuntimeError("second cell failed")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "generate_instance", broken_second)
+    with pytest.raises(RuntimeError, match="second cell failed"):
+        run_grid(sc)
+    assert calls == [(0.4, 0), (0.8, 0)]
+    assert spy.started == 7 and spy.running == 0
+    if linalg.openblas_thread_controls():
+        assert _blas_counts() == [2] * len(linalg.openblas_thread_controls())
+
+
+@pytest.mark.parametrize("ahead_cpus", [1, 2])
+def test_failed_lookahead_draw_raises_from_run_grid(monkeypatch, ahead_cpus):
+    # The draw of (0.8, 0) fails: ahead or inline, run_grid raises its error.
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: ahead_cpus)
+    spy = DrawSpy(monkeypatch, fail_on_p=720)
+    with pytest.raises(RuntimeError, match="draw of p = 720 failed"):
+        run_grid(small_scenario(sampling_ratios=[0.4, 0.8], trials=2))
+    assert len(spy.ahead) == (1 if ahead_cpus > 1 else 0)
+    assert spy.running == 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["completion", "tensor_over_slab_min", "no_idle_core", "threads_equal_cpus"],
+)
+def test_grid_draws_inline_where_a_lookahead_does_not_pay(monkeypatch, spare_core, case):
+    sc = small_scenario(sampling_ratios=[0.4, 0.8], trials=2)
+    threads = 1
+    if case == "completion":
+        sc = dataclasses.replace(sc, operator_kind=COMPLETION)
+    elif case == "tensor_over_slab_min":
+        monkeypatch.setattr(linalg, "SLAB_MIN_BYTES", 8 * 360 * 30 * 30 - 1)
+    elif case == "no_idle_core":
+        monkeypatch.setattr(linalg, "usable_cpus", lambda: 1)
+    else:
+        threads = linalg.usable_cpus()
+    spy = DrawSpy(monkeypatch)
+    run_grid(sc, threads=threads)
+    assert spy.ahead == [] and len(spy.inline) == 4
+
+
+@pytest.mark.parametrize("limit, ahead", [(8 * 720 * 30 * 30 - 1, [360]),
+                                          (8 * 720 * 30 * 30, [720, 360, 720])])
+def test_lookahead_takes_tensors_up_to_slab_min_bytes(monkeypatch, spare_core, limit, ahead):
+    monkeypatch.setattr(linalg, "SLAB_MIN_BYTES", limit)
+    spy = DrawSpy(monkeypatch)
+    run_grid(small_scenario(sampling_ratios=[0.4, 0.8], trials=2))
+    assert spy.ahead == ahead
 
 
 def test_weighted_solver_succeeds_at_moderate_sampling():

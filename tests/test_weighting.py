@@ -211,6 +211,23 @@ def test_angle_weight_map_values():
         angles_to_weights([10.0, np.nan], PER_DIRECTION)
 
 
+@pytest.mark.parametrize("mode", [SINGLE, PER_DIRECTION])
+def test_angles_to_weights_needs_an_angle(mode):
+    # Single mode took the mean of no angles: two RuntimeWarnings, then a NaN weight.
+    for empty in ([], (), np.zeros(0)):
+        with pytest.raises(ValueError, match="need at least one angle"):
+            angles_to_weights(empty, mode)
+
+
+@pytest.mark.parametrize(
+    "cfg, type_name",
+    [([], "list"), ([["mode", "single"]], "list"), ("x", "str"), (3, "int"), (None, "NoneType")],
+)
+def test_weight_spec_from_config_needs_a_mapping(cfg, type_name):
+    with pytest.raises(ValueError, match=f"a weight spec must be a JSON object of fields, got {type_name}$"):
+        WeightSpec.from_config(cfg)
+
+
 def test_weight_spec_config_round_trip():
     for spec in (
         WeightSpec.single(0.18, 0.999),
