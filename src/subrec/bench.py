@@ -509,8 +509,9 @@ def _run_serially(scenario, run_cell):
     alive, so it runs only for a tensor of at most ``linalg.SLAB_MIN_BYTES``:
     a larger one is a solve that already takes the idle cores for its slabs.
     A completion operator is p index pairs, too quick a draw to hand over.
-    Trial-major order (every ratio of trial 0, then of trial 1, ...) follows
-    each largest tensor with a smaller one. A failed draw raises when its
+    Trial-major order (every ratio of trial 0, then of trial 1, ...) puts
+    ascending ratios' smallest tensor after their largest, which lowers the
+    peak of the two alive at once. A failed draw raises when its
     cell takes it, and a draw still running when a cell raises is awaited,
     so none outlives the call.
     """
@@ -526,7 +527,7 @@ def _run_serially(scenario, run_cell):
         # The seed instance_from_truth draws the operator from. The tensor is
         # allocated on this thread: allocated by the drawing thread, freed
         # tensors stayed in its malloc arena, and perfbench's gauss_n30 peak
-        # RSS rose 15 % instead of 10 % (2-vCPU EPYC VM).
+        # RSS rose 15 % instead of 10 % in a probe on a 2-vCPU EPYC VM.
         seed = (*_cell_key(scenario, ratio, trial_index), 1)
         return linalg.run_on_spare_core(make_gaussian, n, p, seed, np.empty((p, n, n)))
 
