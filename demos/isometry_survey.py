@@ -36,7 +36,7 @@ def main():
     qu, qv = bench.prior_weighting(scenario, "rmspi", prior_u, prior_v)
     base = bench.make_operator(GAUSSIAN, 30, 270, 11)
     weighted = WeightedOperator(base, qu.q_inv, qv.q_inv)
-    z = random_low_rank(30, 30, 3, rng)
+    z = random_low_rank(30, 3, rng)
     diff = np.max(np.abs(weighted.apply(qu.q @ z @ qv.q) - base.apply(z)))
     print(f"\nmax |B(Qu Z Qv) - A(Z)| over one random rank-3 Z: {diff:.2e}")
     print("on these seeds delta_A stays below delta_B in every cell above; the")

@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from subrec import bench
+from subrec.solver import MAX_ITERATIONS
 
 TRIALS = 10  # enough to see the ordering; the benchmark presets use 50
 
@@ -25,7 +26,8 @@ def main():
     report = bench.run_grid(scenario)
 
     ratios = list(scenario.sampling_ratios)
-    print(f"\nsuccess rate (normalized error <= 1e-2 within 20 iterations), {TRIALS} trials:")
+    print(f"\nsuccess rate (normalized error <= 1e-2 within {MAX_ITERATIONS} iterations), "
+          f"{TRIALS} trials:")
     print(f"{'solver':8s} " + " ".join(f"{r:>6.2f}" for r in ratios))
     rates = {(a.solver, a.ratio): a.success_rate for a in report.aggregates}
     for solver in scenario.solvers:

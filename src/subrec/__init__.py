@@ -47,7 +47,6 @@ from .operators import (
     estimate_rip,
     make_completion,
     make_gaussian,
-    make_identity_sensing,
     random_low_rank,
 )
 from .solver import (
@@ -95,7 +94,6 @@ __all__ = [
     "load_scenario",
     "make_completion",
     "make_gaussian",
-    "make_identity_sensing",
     "merge_support",
     "orthonormalize",
     "perturb_subspace",

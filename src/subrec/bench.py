@@ -38,9 +38,8 @@ from .weighting import (
     is_real,
 )
 
-# Success criterion: normalized error <= 1e-2 reached within 20 iterations.
+# Success criterion: normalized error <= 1e-2 within solver.MAX_ITERATIONS iterations.
 SUCCESS_ERROR = 1e-2
-SUCCESS_ITERATIONS = 20
 
 SOLVER_IDS = ("admira", "rmspi", "grmspi")
 WEIGHT_FIELDS = ("rmspi_weights_u", "rmspi_weights_v", "grmspi_weights_u", "grmspi_weights_v")
@@ -118,12 +117,17 @@ class Scenario:
                 raise ValueError(f"sampling ratio {ratio} outside (0, 1]")
             if measurement_count(self.n, ratio) < 1:
                 raise ValueError(f"sampling ratio {ratio} gives no measurements at n = {self.n}")
+        # Ratios that share a seed key would draw the same cells twice.
+        if len(set(map(_ratio_key, self.sampling_ratios))) < len(self.sampling_ratios):
+            raise ValueError(f"sampling ratios must be distinct, got {list(self.sampling_ratios)}")
         if not 0.0 <= self.noise_level < math.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise_level}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if not self.solvers or len(set(self.solvers)) < len(self.solvers):
+            raise ValueError(f"solvers must be one or more distinct names, got {list(self.solvers)}")
         for solver in self.solvers:
             if solver not in SOLVER_IDS:
                 raise ValueError(f"unknown solver {solver!r}")
@@ -340,7 +344,7 @@ def solver_config(scenario, instance, solver):
     weighting = prior_weighting(
         scenario, solver, instance.prior_u, instance.prior_v, instance.truth_u, instance.truth_v
     )
-    return SolverConfig(rank=scenario.rank, max_iterations=SUCCESS_ITERATIONS, weighting=weighting)
+    return SolverConfig(rank=scenario.rank, weighting=weighting)
 
 
 @dataclass(frozen=True)
@@ -586,11 +590,9 @@ def rip_survey(scenario, ranks, samples):
             operator = make_operator(scenario.operator_kind, n, p, cell)
             weighted = WeightedOperator(operator, qu.q_inv, qv.q_inv)
             rng_cell = np.random.default_rng((*cell, 1))
-            mats = [random_low_rank(n, n, rank, rng_cell) for _ in range(samples)]
-            est_base = estimate_rip(operator, rank, samples, sample_mats=mats)
-            est_weighted = estimate_rip(
-                weighted, rank, samples, sample_mats=[qu.q @ z @ qv.q for z in mats]
-            )
+            mats = [random_low_rank(n, rank, rng_cell) for _ in range(samples)]
+            est_base = estimate_rip(operator, mats)
+            est_weighted = estimate_rip(weighted, [qu.q @ z @ qv.q for z in mats])
             rows.append(RipSurveyRow(rank, ratio, p, est_base.delta_hat, est_weighted.delta_hat))
     return rows
 

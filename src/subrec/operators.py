@@ -23,9 +23,10 @@ class MeasurementOperator:
 
     ``seed`` records the seed material the operator was built from, when
     known, so reports can persist (kind, n, p, seed) instead of the payload.
-    A completion operator works out from ``indices``, once, the flat index
-    ``row * n + col`` of each sampled entry (``flat``) and the n x n 0/1
-    sampling mask (``mask``); the index pairs must be distinct.
+    Construction checks the payload, raising ValueError: Gaussian ``mats``
+    of shape (p, n, n), entries unread, or completion ``indices`` of p
+    distinct integer (row, col) pairs in [0, n), from which the flat index
+    ``row * n + col`` (``flat``) and the n x n 0/1 mask (``mask``) come, once.
     """
 
     kind: str
@@ -38,9 +39,22 @@ class MeasurementOperator:
     mask: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind == COMPLETION:
+        if self.kind == GAUSSIAN:
+            if np.shape(self.mats) != (self.p, self.n, self.n):
+                raise ValueError(f"Gaussian sensing needs mats of shape {(self.p, self.n, self.n)}")
+        elif self.kind == COMPLETION:
+            self.indices = np.asarray(self.indices)
+            if self.indices.shape != (self.p, 2) or self.indices.dtype.kind not in "iu":
+                raise ValueError(f"completion needs {self.p} integer index pairs")
+            if not 0 <= self.indices.min() <= self.indices.max() < self.n:
+                raise ValueError(f"completion indices outside [0, {self.n})")
             self.flat = self.indices[:, 0] * self.n + self.indices[:, 1]
+            # A repeated pair sets its mask entry once, so the sum falls below p.
             self.mask = self.scatter(1.0)
+            if self.mask.sum() < self.p:
+                raise ValueError("completion index pairs must be distinct")
+        else:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
 
     def apply(self, x):
         """Measure a matrix: y_i = <x, A_i>_F (Gaussian) or sampled entries."""
@@ -105,12 +119,6 @@ def make_completion(n, p, rng):
     return MeasurementOperator(COMPLETION, n, p, indices=indices, seed=seed)
 
 
-def make_identity_sensing(n):
-    """Exact-isometry sensing: the p = n^2 canonical basis matrices."""
-    mats = np.eye(n * n).reshape(n * n, n, n)
-    return MeasurementOperator(GAUSSIAN, n, n * n, mats=mats)
-
-
 @dataclass(eq=False)
 class WeightedOperator:
     """Base operator composed with the inverse weightings on both sides.
@@ -173,36 +181,31 @@ class RipEstimate:
     them, so the true constant is >= delta_hat.
     """
 
-    rank: int
     samples: int
     delta_hat: float
     ratio_min: float
     ratio_max: float
 
 
-def random_low_rank(n_rows, n_cols, rank, rng):
-    """Random rank-``rank`` matrix with Haar factors and spectrum uniform in [0.1, 1].
+def random_low_rank(n, rank, rng):
+    """Random n x n matrix of rank ``rank``: Haar factors, spectrum uniform in [0.1, 1].
 
     Singular values stay bounded away from zero so isometry ratios are not
     dominated by near-zero matrices.
     """
     gen = as_generator(rng)
-    u = random_orthonormal(n_rows, rank, gen)
-    v = random_orthonormal(n_cols, rank, gen)
+    u = random_orthonormal(n, rank, gen)
+    v = random_orthonormal(n, rank, gen)
     sigma = gen.uniform(0.1, 1.0, size=rank)
     return (u * sigma) @ v.T
 
 
-def estimate_rip(op, rank, samples, rng=None, sample_mats=None):
-    """Empirical isometry constant of ``op`` over random rank-``rank`` matrices.
+def estimate_rip(op, sample_mats):
+    """Empirical isometry constant of ``op`` over the matrices ``sample_mats``.
 
-    When ``sample_mats`` is given it is used verbatim (enabling shared-sample
-    comparisons between operators); otherwise ``samples`` matrices are drawn
-    from ``rng``.
+    The caller draws the samples (for example with ``random_low_rank``), so
+    one sample set can score several operators.
     """
-    if sample_mats is None:
-        gen = as_generator(rng)
-        sample_mats = [random_low_rank(op.n, op.n, rank, gen) for _ in range(samples)]
     ratios = []
     for x in sample_mats:
         y = op.apply(x)
@@ -212,4 +215,4 @@ def estimate_rip(op, rank, samples, rng=None, sample_mats=None):
     ratio_min = min(ratios)
     ratio_max = max(ratios)
     delta_hat = max(1.0 - ratio_min, ratio_max - 1.0)
-    return RipEstimate(rank, len(ratios), delta_hat, ratio_min, ratio_max)
+    return RipEstimate(len(ratios), delta_hat, ratio_min, ratio_max)

@@ -38,8 +38,12 @@ from . import linalg
 from .linalg import dpotrf, dpotrs
 from .operators import COMPLETION, WeightedOperator
 
-# A residual decrease below this relative amount counts as a flat iteration;
-# three flat iterations in a row stop the loop.
+# The stop rule: at most MAX_ITERATIONS iterations (a benchmark trial's budget
+# to succeed in), or a residual at most RESIDUAL_TOLERANCE * ||y||, or
+# STAGNATION_RUN flat iterations in a row, each decreasing the residual by
+# less than STAGNATION_DECREASE relative.
+MAX_ITERATIONS = 20
+RESIDUAL_TOLERANCE = 1e-6
 STAGNATION_DECREASE = 1e-10
 STAGNATION_RUN = 3
 
@@ -108,17 +112,11 @@ class SolverConfig:
     """
 
     rank: int
-    max_iterations: int = 20
-    residual_tolerance: float = 1e-6
     weighting: object = None
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.residual_tolerance <= 0.0:
-            raise ValueError("residual_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ class SolverRun:
 
     ``estimates`` holds the de-weighted estimate of every iteration, so
     ``estimates[-1]`` is ``estimate``; a solve keeps up to
-    ``max_iterations`` n x n arrays.
+    ``MAX_ITERATIONS`` n x n arrays.
     """
 
     estimate: np.ndarray
@@ -157,8 +155,9 @@ def identify_support(proxy, k):
     scaled to unit norm, and those norms are the singular values s_i. On the
     proxies of close_close solves (one thread, 2-vCPU AMD EPYC VM) the whole
     step took 53 us against 64 us for ``np.linalg.svd`` at n = 30
-    (completion) and 286 against 416 us at n = 80 (Gaussian). The Gram squares the spread of the singular values, so the right
-    columns are orthogonal only to about eps s_1^2 / (s_i s_j). Where that
+    (completion) and 286 against 416 us at n = 80 (Gaussian). The Gram
+    squares the spread of the singular values, so the right columns are
+    orthogonal only to about eps s_1^2 / (s_i s_j). Where that
     could exceed ORTHO_DROP_TOL (see GRAM_SIGMA_RATIO_MIN), or where the Gram
     would overflow or lose digits to underflow, the support is read off the
     full SVD (``linalg.svd``) instead, as it is for any proxy of rank below k.
@@ -188,10 +187,11 @@ def merge_support(new, prev):
     return Support(left, right)
 
 
-def least_squares_on_support(op, y, support):
+def least_squares_on_support(wop, y, support):
     """Minimum-norm least squares confined to span{U M V^T} of the support.
 
-    The design D maps vec(M) for a k_u x k_v block M to op.apply(U M V^T).
+    The design D maps vec(M) for a k_u x k_v block M to wop.apply(U M V^T)
+    for the WeightedOperator ``wop``.
     Returns ``(coef, measure)``: the block M minimizing ||y - D vec(M)|| (the
     estimate is U M V^T) and a function with measure(M') = D vec(M'), so
     callers can measure any block without touching the operator again. ``y``
@@ -218,8 +218,7 @@ def least_squares_on_support(op, y, support):
     index order, and D^T y = vec(g^T Y h) for the measurements Y scattered
     through the operator's flat index: about n k^4 flops, without building
     D. The mask and the scatter rely on the sampled index pairs being
-    distinct, which ``make_completion`` guarantees and the operator's adjoint
-    assumes. measure(M') gathers the sampled entries of the n x n product
+    distinct, which the operator checks when it is built. measure(M') gathers the sampled entries of the n x n product
     (g M') h^T at the flat index.
 
     The Gram squares the condition number, so the Cholesky solution is kept
@@ -235,7 +234,6 @@ def least_squares_on_support(op, y, support):
     """
     if support.is_empty():
         raise ValueError("support is empty")
-    wop = op if isinstance(op, WeightedOperator) else WeightedOperator(op)
     base = wop.base
     y = np.asarray_chkfinite(y, dtype=float)
     if y.shape != (base.p,):
@@ -341,9 +339,9 @@ def solve(operator, y, config):
     -------
     SolverRun with the de-weighted estimate (rank <= config.rank), iteration
     count, per-iteration trace and estimates, and the stop reason:
-    'tolerance' when the relative measurement residual falls below
-    config.residual_tolerance, 'stagnation' after three flat iterations, else
-    'max_iter'.
+    'tolerance' when the relative measurement residual falls to
+    RESIDUAL_TOLERANCE, 'stagnation' after STAGNATION_RUN flat iterations,
+    else 'max_iter' after MAX_ITERATIONS.
     """
     y = np.asarray_chkfinite(y, dtype=float)
     if y.shape != (operator.p,):
@@ -365,10 +363,8 @@ def solve(operator, y, config):
     stop_reason = "max_iter"
     prev_norm = None
     flat_run = 0
-    iterations = 0
 
-    for _ in range(config.max_iterations):
-        iterations += 1
+    for iterations in range(1, MAX_ITERATIONS + 1):
         merged = merge_support(identify_support(wop.adjoint(residual), 2 * r), support)
         if merged.is_empty():
             coef = np.zeros((0, 0))
@@ -392,7 +388,7 @@ def solve(operator, y, config):
         res_norm = float(np.linalg.norm(residual))
         trace.append(IterationRecord(res_norm, merged.dims, support.dims))
         estimates.append(x_rec)
-        if res_norm <= config.residual_tolerance * y_norm:
+        if res_norm <= RESIDUAL_TOLERANCE * y_norm:
             stop_reason = "tolerance"
             break
         if prev_norm is not None:

@@ -189,7 +189,7 @@ def angle_weight(theta_deg):
     return np.clip(0.1 + 0.8 * (np.asarray(theta_deg, dtype=float) / 90.0), 0.1, 1.0)
 
 
-def angles_to_weights(angles_deg, mode=PER_DIRECTION):
+def angles_to_weights(angles_deg, mode):
     """Derive a WeightSpec from principal angles via the affine heuristic.
 
     Span weights are angle_weight(theta) per direction (small angle = trusted

@@ -74,12 +74,12 @@ def test_criterion_2_admira_reduction():
         run_w = solve(
             instance.operator,
             instance.y,
-            SolverConfig(rank=3, max_iterations=20, weighting=weighting),
+            SolverConfig(rank=3, weighting=weighting),
         )
         run_0 = solve(
             instance.operator,
             instance.y,
-            SolverConfig(rank=3, max_iterations=20),
+            SolverConfig(rank=3),
         )
         assert run_w.iterations == run_0.iterations
         for a, b in zip(run_w.estimates, run_0.estimates):
@@ -98,15 +98,15 @@ def test_criterion_3_weighted_isometry_identities():
     qv = build_weight_operator(prior_v, scenario.grmspi_weights_v, complement_reference=truth_v)
     base = make_gaussian(30, 360, 101)
     weighted = WeightedOperator(base, qu.q_inv, qv.q_inv)
-    mats = [random_low_rank(30, 30, 3, rng) for _ in range(200)]
+    mats = [random_low_rank(30, 3, rng) for _ in range(200)]
     worst = 0.0
     shrink_ok = True
     for z in mats:
         zw = qu.q @ z @ qv.q
         worst = max(worst, float(np.max(np.abs(weighted.apply(zw) - base.apply(z)))))
         shrink_ok &= np.linalg.norm(zw) <= np.linalg.norm(z) + 1e-12
-    est_a = estimate_rip(base, 3, len(mats), sample_mats=mats)
-    est_b = estimate_rip(weighted, 3, len(mats), sample_mats=[qu.q @ z @ qv.q for z in mats])
+    est_a = estimate_rip(base, mats)
+    est_b = estimate_rip(weighted, [qu.q @ z @ qv.q for z in mats])
     ok = worst <= 1e-12 and shrink_ok and est_a.delta_hat <= est_b.delta_hat + 1e-10
     _report(
         3,

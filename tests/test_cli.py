@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subrec
 from subrec import bench
 from subrec.cli import main
 from subrec.linalg import perturb_subspace, svd
@@ -18,6 +22,22 @@ def test_presets_listing(capsys):
     out = capsys.readouterr().out
     assert "close_close" in out and "far_far_completion" in out
     assert "prior=" not in out
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter():
+    # `python -m subrec` goes through __main__.py, which exits with main()'s code.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "subrec", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = run("--version")
+    assert version.returncode == 0, version.stderr
+    assert version.stdout == f"subrec {subrec.__version__}\n"
+    presets = run("presets")
+    assert presets.returncode == 0, presets.stderr
+    assert [line.split()[0] for line in presets.stdout.splitlines()] == list(bench.builtin_presets())
 
 
 def test_presets_json(capsys):
@@ -168,6 +188,12 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
                                "complement_weights": [0.9, False, 0.9]}},
          "complement_weights must be a list of numbers in per-direction mode, "
          "got [0.9, False, 0.9]"),
+        ({"sampling_ratios": [0.6, 0.6]}, "sampling ratios must be distinct, got [0.6, 0.6]"),
+        ({"sampling_ratios": [0.6, 0.6000000001]},
+         "sampling ratios must be distinct, got [0.6, 0.6000000001]"),
+        ({"solvers": []}, "solvers must be one or more distinct names, got []"),
+        ({"solvers": ["admira", "admira"]},
+         "solvers must be one or more distinct names, got ['admira', 'admira']"),
     ],
 )
 def test_invalid_scenario_field_is_rejected_everywhere(tmp_path, capsys, overrides, message):
@@ -421,7 +447,7 @@ def _recover_oracle(matrix, rank, kind, ratio, seed, solver, theta_u, theta_v):
             build_weight_operator(prior_v, angles_to_weights(theta_v, PER_DIRECTION),
                                   complement_reference=truth_v),
         )
-    config = SolverConfig(rank=rank, max_iterations=20, weighting=weighting)
+    config = SolverConfig(rank=rank, weighting=weighting)
     run = solve(op, op.apply(matrix), config)
     error = np.linalg.norm(matrix - run.estimate) / np.linalg.norm(matrix)
     return p, run, error

@@ -12,7 +12,6 @@ from subrec.operators import (
     estimate_rip,
     make_completion,
     make_gaussian,
-    make_identity_sensing,
     random_low_rank,
 )
 from subrec.weighting import WeightSpec, build_weight_operator
@@ -163,6 +162,38 @@ def test_completion_flat_index_and_mask_follow_the_index_pairs(n, seed, data):
     assert direct.adjoint(y).tobytes() == scattered.tobytes()
 
 
+def _pairs(*pairs):
+    return np.array(pairs, dtype=np.intp)
+
+
+@pytest.mark.parametrize(
+    "kind, n, p, payload, message",
+    [
+        (COMPLETION, 3, 2, {"indices": _pairs([-1, 0], [0, 0])}, "outside"),
+        (COMPLETION, 3, 1, {"indices": _pairs([3, 0])}, "outside"),
+        (COMPLETION, 3, 1, {"indices": _pairs([0, 3])}, "outside"),
+        (COMPLETION, 3, 2, {"indices": _pairs([1, 1], [1, 1])}, "distinct"),
+        (COMPLETION, 3, 3, {"indices": _pairs([0, 1], [1, 0])}, "3 integer index pairs"),
+        (COMPLETION, 3, 1, {"indices": np.array([[0.0, 1.0]])}, "1 integer index pairs"),
+        (COMPLETION, 3, 1, {}, "1 integer index pairs"),
+        (GAUSSIAN, 3, 2, {"mats": np.zeros((2, 9))}, "shape"),
+        (GAUSSIAN, 3, 2, {"mats": np.zeros((3, 3, 3))}, "shape"),
+        (GAUSSIAN, 3, 2, {}, "shape"),
+        ("identity", 3, 9, {"mats": np.zeros((9, 3, 3))}, "unknown operator kind"),
+    ],
+    ids=[
+        "negative_row", "row_past_n", "col_past_n", "repeated_pair", "too_few_pairs",
+        "float_pairs", "no_pairs", "flat_mats", "too_many_mats", "no_mats", "unknown_kind",
+    ],
+)
+def test_operator_payload_is_checked_on_construction(kind, n, p, payload, message):
+    # A column index of n would wrap into the next row, a negative one into
+    # the last, and a repeated pair is counted once by the mask but twice by
+    # the explicit design; each must fail when the operator is built.
+    with pytest.raises(ValueError, match=message):
+        MeasurementOperator(kind, n, p, **payload)
+
+
 def test_adjoint_trivial_cases():
     op = make_completion(4, 5, 9)
     assert np.all(op.adjoint(np.zeros(5)) == 0.0)
@@ -174,38 +205,43 @@ def test_adjoint_trivial_cases():
         op.adjoint(np.zeros(6))
 
 
+def _identity_sensing(n, scale=1.0):
+    """Gaussian-kind sensing by the n^2 canonical basis matrices times ``scale``."""
+    return MeasurementOperator(GAUSSIAN, n, n * n, mats=scale * np.eye(n * n).reshape(n * n, n, n))
+
+
+def _samples(n, rank, count, seed):
+    gen = np.random.default_rng(seed)
+    return [random_low_rank(n, rank, gen) for _ in range(count)]
+
+
 def test_estimate_rip_exact_isometry():
-    op = make_identity_sensing(5)
-    est = estimate_rip(op, 2, 50, rng=10)
+    est = estimate_rip(_identity_sensing(5), _samples(5, 2, 50, 10))
     assert est.delta_hat <= 1e-10
     assert est.ratio_min >= 1.0 - 1e-12 and est.ratio_max <= 1.0 + 1e-12
+    assert est.samples == 50
 
 
 def test_estimate_rip_scaling():
-    op = make_identity_sensing(5)
-    scaled = make_identity_sensing(5)
-    scaled.mats = 2.0 * scaled.mats
-    est = estimate_rip(scaled, 2, 50, rng=11)
+    est = estimate_rip(_identity_sensing(5, scale=2.0), _samples(5, 2, 50, 11))
     assert est.delta_hat >= 3.0 - 1e-9
 
 
 def test_estimate_rip_regression_anchor():
     # Frozen Monte-Carlo anchor: gaussian n=10, rank 1, p=80, 500 samples.
     op = make_gaussian(10, 80, 7)
-    est = estimate_rip(op, 1, 500, rng=123)
+    est = estimate_rip(op, _samples(10, 1, 500, 123))
     assert 0.0 < est.delta_hat < 1.0
     assert abs(est.delta_hat - 0.633243136618) <= 1e-9
 
 
 def test_estimate_rip_deterministic():
     op = make_gaussian(9, 40, 8)
-    a = estimate_rip(op, 2, 100, rng=21)
-    b = estimate_rip(op, 2, 100, rng=21)
+    a = estimate_rip(op, _samples(9, 2, 100, 21))
+    b = estimate_rip(op, _samples(9, 2, 100, 21))
     assert a == b
     with pytest.raises(ValueError, match="need at least one sample"):
-        estimate_rip(op, 2, 0, rng=1)
-    with pytest.raises(ValueError, match="need at least one sample"):
-        estimate_rip(op, 2, 0, sample_mats=[])
+        estimate_rip(op, [])
 
 
 def _fig1_weighting(rng):
@@ -231,11 +267,11 @@ def test_weighted_isometry_identity_and_delta_ordering():
     qu, qv = _fig1_weighting(rng)
     base = make_gaussian(30, 180, 31)
     weighted = WeightedOperator(base, qu.q_inv, qv.q_inv)
-    mats = [random_low_rank(30, 30, 3, rng) for _ in range(50)]
+    mats = [random_low_rank(30, 3, rng) for _ in range(50)]
     for z in mats:
         z_weighted = qu.q @ z @ qv.q
         assert np.max(np.abs(weighted.apply(z_weighted) - base.apply(z))) <= 1e-12
         assert np.linalg.norm(z_weighted) <= np.linalg.norm(z) + 1e-12
-    est_a = estimate_rip(base, 3, len(mats), sample_mats=mats)
-    est_b = estimate_rip(weighted, 3, len(mats), sample_mats=[qu.q @ z @ qv.q for z in mats])
+    est_a = estimate_rip(base, mats)
+    est_b = estimate_rip(weighted, [qu.q @ z @ qv.q for z in mats])
     assert est_a.delta_hat <= est_b.delta_hat + 1e-10
