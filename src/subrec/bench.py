@@ -462,7 +462,10 @@ def run_grid(scenario, threads=1):
     serial grid on more than one core draws the next cell's Gaussian tensor
     on an idle core while the current cell's trials run (see
     ``_run_serially``); the draw is seeded by its cell, so the rows stay the
-    same bit for bit.
+    same bit for bit. The pool pays only where a solve spends most of its
+    time in BLAS and LAPACK, which release the GIL, as small Gaussian solves
+    do; a completion solve is mostly interpreter work, and its grid runs
+    slower pooled than serial.
     """
     threads = resolve_threads(threads)
 

@@ -73,6 +73,19 @@ def as_generator(rng):
     return np.random.default_rng(rng)
 
 
+def require_finite(a, squares):
+    """Raise ValueError if ``a`` holds a NaN or an Inf; ``squares`` is its sum of squares.
+
+    A NaN or Inf entry makes that sum NaN or Inf, so ``a`` is scanned only
+    when the sum is not finite, which finite entries whose squares overflow
+    can also cause; those pass. The per-iteration kernels take the sum from a
+    product they form anyway, or from one dot product, in place of
+    ``np.asarray_chkfinite``'s pass of its own on every call.
+    """
+    if not squares < np.inf:
+        np.asarray_chkfinite(a)
+
+
 def svd(m):
     """Economy SVD of a finite real matrix.
 
@@ -83,7 +96,8 @@ def svd(m):
     directly: on the loop's 9 x 9 blocks ``np.linalg.svd``'s wrapper costs
     more than the decomposition.
     """
-    m = np.asarray_chkfinite(m, dtype=float)
+    m = np.asarray(m, dtype=float)
+    require_finite(m, np.vdot(m, m))
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     if m.size == 0:
@@ -126,15 +140,17 @@ def orthonormalize(m):
     directly, which saves that wrapper's workspace queries and copies on the
     small inputs of the loop.
     """
-    m = np.asarray_chkfinite(m, dtype=float)
+    m = np.asarray(m, dtype=float)
+    squares = np.vdot(m, m)
+    require_finite(m, squares)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if m.shape[1] == 0 or not m.any():
+    if m.shape[1] == 0 or squares == 0 and not m.any():
         return np.zeros((m.shape[0], 0))
     qr, _, tau, _, info = dgeqp3(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgeqp3")
-    kept = int(np.count_nonzero(np.abs(np.diagonal(qr)) > ORTHO_DROP_TOL))
+    kept = int(np.count_nonzero(np.abs(qr.diagonal()) > ORTHO_DROP_TOL))
     n_rows = m.shape[0]
     q, _, info = dorgqr(qr[:, :n_rows] if n_rows < m.shape[1] else qr, tau, overwrite_a=1)
     if info < 0:
@@ -239,8 +255,12 @@ def run_slabs(work, bounds):
     """Call work(start, stop) for each slab of ``bounds`` and wait for all of them.
 
     Slab 0 runs on the calling thread, the rest on a process-local thread
-    pool; numpy releases the GIL inside its BLAS calls.
+    pool; numpy releases the GIL inside its BLAS calls. A single slab runs
+    inline, with no futures.
     """
+    if len(bounds) == 2:
+        work(*bounds)
+        return
     slabs = list(zip(bounds, bounds[1:]))
     futures = [_slab_pool.submit(work, *slab) for slab in slabs[1:]]
     try:

@@ -73,14 +73,17 @@ class MeasurementOperator:
         if self.kind == COMPLETION:
             return self.scatter(y)
         flat = self.mats.reshape(self.p, -1)
+        # Slabs start on multiples of 64 columns, which keeps each one's alignment
+        # and vector tails, and so its bits; a boundary at column 37 changed them.
+        bounds = linalg.slab_bounds(flat.shape[1], self.mats.nbytes, align=64)
+        if len(bounds) == 2:
+            return (y @ flat).reshape(self.n, self.n)
         out = np.empty(flat.shape[1])
 
         def accumulate(start, stop):
             np.matmul(y, flat[:, start:stop], out=out[start:stop])
 
-        # Slabs start on multiples of 64 columns, which keeps each one's alignment
-        # and vector tails, and so its bits; a boundary at column 37 changed them.
-        linalg.run_slabs(accumulate, linalg.slab_bounds(flat.shape[1], self.mats.nbytes, align=64))
+        linalg.run_slabs(accumulate, bounds)
         return out.reshape(self.n, self.n)
 
     def scatter(self, y):

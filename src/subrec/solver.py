@@ -30,6 +30,7 @@ Gaussian sensing tensor, the adjoint and the design assembly, split into slabs
 on the idle cores (``linalg.slab_bounds``) with the same bits as one pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,16 +165,18 @@ def identify_support(proxy, k):
     """
     if k < 1:
         raise ValueError("support size must be at least 1")
-    proxy = np.asarray_chkfinite(proxy, dtype=float)
-    if not proxy.any():
-        return Support.empty(proxy.shape[0])
-    k = min(k, *proxy.shape)
+    proxy = np.asarray(proxy, dtype=float)
     # The squared Frobenius norm is the Gram's trace; where it is finite, no
     # entry of the Gram overflows.
-    if GRAM_TRACE_MIN <= np.vdot(proxy, proxy) < np.inf:
+    trace = np.vdot(proxy, proxy)
+    linalg.require_finite(proxy, trace)
+    if trace == 0 and not proxy.any():
+        return Support.empty(proxy.shape[0])
+    k = min(k, *proxy.shape)
+    if GRAM_TRACE_MIN <= trace < np.inf:
         left = np.linalg.eigh(proxy @ proxy.T)[1][:, : -k - 1 : -1].copy()
         right = proxy.T @ left
-        sigma = np.linalg.norm(right, axis=0)
+        sigma = np.sqrt(np.add.reduce(right * right, axis=0))
         if sigma[-1] >= GRAM_SIGMA_RATIO_MIN * sigma[0]:
             return Support(left, right / sigma)
     u, _, vh = linalg.svd(proxy)
@@ -182,8 +185,8 @@ def identify_support(proxy, k):
 
 def merge_support(new, prev):
     """Union of two supports: orthonormal bases for the concatenated spans."""
-    left = linalg.orthonormalize(np.hstack([new.left, prev.left]))
-    right = linalg.orthonormalize(np.hstack([new.right, prev.right]))
+    left = linalg.orthonormalize(np.concatenate([new.left, prev.left], axis=1))
+    right = linalg.orthonormalize(np.concatenate([new.right, prev.right], axis=1))
     return Support(left, right)
 
 
@@ -235,9 +238,10 @@ def least_squares_on_support(wop, y, support):
     if support.is_empty():
         raise ValueError("support is empty")
     base = wop.base
-    y = np.asarray_chkfinite(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     if y.shape != (base.p,):
         raise ValueError(f"expected {base.p} measurements, got shape {y.shape}")
+    linalg.require_finite(y, np.vdot(y, y))
     u, v = support.left, support.right
     # The contiguous copies keep the BLAS summation order independent of how
     # the support arrays happen to be strided.
@@ -276,12 +280,15 @@ def _gaussian_design(mats, g, h):
     slabs, so the g^T A_i alive at once stay under DESIGN_BLOCK_BYTES (or one
     slice per slab). Every block makes the same per-slice products as one
     batched call over all of ``mats``, so the design is the same bit for bit.
+    A pass of one slab and one block is that call, with no closure or pool.
     """
     p, n = mats.shape[:2]
     k_u, k_v = g.shape[1], h.shape[1]
-    design = np.empty((p, k_u, k_v))
     bounds = linalg.slab_bounds(p, mats.nbytes)
     step = max(1, DESIGN_BLOCK_BYTES // (len(bounds) - 1) // (k_u * n * mats.itemsize))
+    if len(bounds) == 2 and step >= p:
+        return np.matmul(np.matmul(g.T, mats), h).reshape(p, k_u * k_v)
+    design = np.empty((p, k_u, k_v))
 
     def assemble(start, stop):
         for first in range(start, stop, step):
@@ -315,7 +322,7 @@ def _cholesky_solve(gram, rhs):
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     if info > 0:
         return None
-    diag = np.diagonal(factor)
+    diag = factor.diagonal()
     if not diag.min() > GRAM_DIAG_RATIO_MIN * diag.max():
         return None
     coef, info = dpotrs(factor, rhs, lower=0)
@@ -356,7 +363,7 @@ def solve(operator, y, config):
     wop = WeightedOperator(operator, qu_inv, qv_inv)
 
     support = Support.empty(n)
-    y_norm = float(np.linalg.norm(y))
+    y_norm = math.sqrt(y.dot(y))
     residual = y.copy()
     trace = []
     estimates = []
@@ -385,7 +392,7 @@ def solve(operator, y, config):
         # that raises peak memory).
         measure = None
         x_rec = wop.deweight(x_hat)
-        res_norm = float(np.linalg.norm(residual))
+        res_norm = math.sqrt(residual.dot(residual))
         trace.append(IterationRecord(res_norm, merged.dims, support.dims))
         estimates.append(x_rec)
         if res_norm <= RESIDUAL_TOLERANCE * y_norm:

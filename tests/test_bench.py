@@ -186,6 +186,33 @@ def test_nan_measurement_in_grid_reaches_diagnostic(monkeypatch):
     json.dumps(report_to_dict(report))
 
 
+def test_nan_in_gaussian_sensing_tensor_reaches_diagnostic(monkeypatch):
+    # A NaN planted in one cell's sensing tensor after its measurements were
+    # taken: construction never reads the entries and y stays finite, so the
+    # NaN first shows in the proxy, whose finiteness check must name it.
+    sc = small_scenario(sampling_ratios=[0.6, 0.8], solvers=["admira", "rmspi", "grmspi"])
+    bad_cell = (0.8, 1)
+    real = bench.generate_instance
+
+    def with_nan(scenario, ratio, trial_index, operator=None):
+        instance = real(scenario, ratio, trial_index, operator=operator)
+        if (ratio, trial_index) == bad_cell:
+            instance.operator.mats[5, 2, 3] = np.nan
+            assert np.isfinite(instance.y).all()
+        return instance
+
+    monkeypatch.setattr(bench, "generate_instance", with_nan)
+    report = run_grid(sc)
+    assert len(report.trials) == 2 * 2 * 3
+    for row in report.trials:
+        if (row.ratio, row.trial_index) == bad_cell:
+            assert row.stop_reason == "error" and not row.success
+            assert "NaN" in row.diagnostic
+        else:
+            assert row.stop_reason in ("tolerance", "stagnation", "max_iter")
+            assert row.diagnostic is None and math.isfinite(row.normalized_error)
+
+
 def test_run_trial_deterministic():
     sc = small_scenario()
     inst = generate_instance(sc, 0.8, 1)

@@ -53,6 +53,18 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_svd_and_orthonormalize_accept_entries_whose_squares_overflow():
+    # Both scan for NaN and Inf only when the sum of squares is not finite;
+    # finite entries that overflow that sum must still be decomposed.
+    m = np.random.default_rng(16).standard_normal((7, 4))
+    u, s, vh = svd(1e200 * m)
+    assert np.allclose(s, 1e200 * svd(m)[1], rtol=1e-12, atol=0.0)
+    assert np.allclose((u * (s / 1e200)) @ vh, m, rtol=0.0, atol=1e-12)
+    q, q_small = orthonormalize(1e200 * m), orthonormalize(m)
+    assert q.shape == q_small.shape == (7, 4)
+    assert np.allclose(q @ q.T, q_small @ q_small.T, rtol=0.0, atol=1e-12)
+
+
 def test_svd_raises_linalg_error_when_lapack_does_not_converge(monkeypatch):
     def unconverged(m, compute_uv, full_matrices):
         return None, None, None, 1

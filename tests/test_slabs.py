@@ -50,6 +50,17 @@ def test_slab_bounds_follow_the_payload_the_pin_and_the_alignment(monkeypatch):
         assert slab_bounds(100, big) == [0, 100]
 
 
+def test_run_slabs_runs_one_slab_inline(monkeypatch):
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("one slab submitted to the slab pool")
+
+    monkeypatch.setattr(linalg, "_slab_pool", NoPool())
+    done = []
+    linalg.run_slabs(lambda start, stop: done.append((start, stop)), [0, 7])
+    assert done == [(0, 7)]
+
+
 def test_run_slabs_waits_for_every_slab_and_raises_their_errors():
     done = []
 
@@ -118,6 +129,32 @@ def test_solve_with_forced_slabs_equals_unsplit_solve_bit_for_bit(solver_id, n, 
     assert split.stop_reason == unsplit.stop_reason
     assert split.trace == unsplit.trace
     assert all(same_bits(a, b) for a, b in zip(split.estimates, unsplit.estimates, strict=True))
+
+
+@pytest.mark.parametrize("solver_id", ["admira", "grmspi"])
+def test_small_gaussian_solve_calls_blas_directly(monkeypatch, solver_id):
+    # Every pass of an n = 30 solve (at most 5.2 MB at ratio 0.8) stays one
+    # slab even with four CPUs, so neither the slab runner nor its pool runs.
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a one-slab pass submitted to the slab pool")
+
+    def no_run_slabs(work, bounds):
+        raise AssertionError(f"a one-slab pass went through run_slabs with bounds {bounds}")
+
+    scenario = replace(bench.builtin_presets()["close_close"], master_seed=5)
+    assert scenario.n == 30
+    instance = bench.generate_instance(scenario, max(scenario.sampling_ratios), 0)
+    config = bench.solver_config(scenario, instance, solver_id)
+    with single_blas_thread():
+        want = solver.solve(instance.operator, instance.y, config)
+    monkeypatch.setattr(linalg, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(linalg, "_slab_pool", NoPool())
+    monkeypatch.setattr(linalg, "run_slabs", no_run_slabs)
+    with single_blas_thread():
+        got = solver.solve(instance.operator, instance.y, config)
+    assert got.trace == want.trace
+    assert all(same_bits(a, b) for a, b in zip(got.estimates, want.estimates, strict=True))
 
 
 def test_pooled_grid_gives_each_solve_its_share_of_the_cores(monkeypatch):

@@ -128,7 +128,9 @@ def test_identify_support_matches_the_full_svd_projectors(n, kind, seed, data):
     assert np.linalg.norm(_projector(sup.right) - _projector(vh[:k].T), 2) <= bound
 
 
-@pytest.mark.parametrize("case", ["small_tail", "rank_deficient", "underflow", "overflow"])
+@pytest.mark.parametrize(
+    "case", ["small_tail", "rank_deficient", "underflow", "overflow", "squares_underflow_to_zero"]
+)
 def test_identify_support_falls_back_to_the_full_svd_bit_for_bit(case):
     # Where the Gram would cost the right basis its orthonormality or its
     # digits, the support is the full SVD's, exactly as linalg.svd gives it.
@@ -145,6 +147,10 @@ def test_identify_support_falls_back_to_the_full_svd_bit_for_bit(case):
         proxy *= 1e-160
     elif case == "overflow":
         proxy *= 1e160
+    elif case == "squares_underflow_to_zero":
+        # Every square is 0, yet the proxy is not: it must not read as empty.
+        proxy *= 1e-200
+        assert np.vdot(proxy, proxy) == 0.0
     sup = identify_support(proxy, k)
     full_u, _, full_vh = svd(proxy)
     assert np.array_equal(sup.left, full_u[:, :k])
@@ -395,6 +401,22 @@ def test_least_squares_rejects_bad_measurements(kind, weighted):
             y[3] = value
             with pytest.raises(ValueError):
                 least_squares_on_support(wop, y, sup)
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, COMPLETION])
+def test_least_squares_accepts_measurements_whose_squares_overflow(kind):
+    # y is scanned for NaN and Inf only when y @ y is not finite; finite
+    # measurements that overflow it scale the solution on both paths.
+    rng = np.random.default_rng(24)
+    n, p = 6, 20
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    wop = WeightedOperator(op)
+    y = rng.standard_normal(p)
+    for k in (2, 5):  # tall (Cholesky) and wide (gelsd) systems
+        sup = Support(random_orthonormal(n, k, rng), random_orthonormal(n, k, rng))
+        coef, _ = least_squares_on_support(wop, 1e200 * y, sup)
+        want, _ = least_squares_on_support(wop, y, sup)
+        assert np.allclose(coef / 1e200, want, rtol=1e-10, atol=0.0)
 
 
 def test_solve_input_validation():
