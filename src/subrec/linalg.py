@@ -158,14 +158,14 @@ def orthonormalize(m):
     return q[:, :kept]
 
 
-@functools.cache
-def openblas_thread_controls():
-    """(get, set) thread-count functions of every loaded OpenBLAS, found once.
+def loaded_openblas():
+    """(library, name) for every OpenBLAS loaded into this process.
 
     numpy and scipy wheels each bundle their own OpenBLAS. The shared objects
     mapped into this process (Linux ``/proc/self/maps``) whose file name
-    contains "openblas" are opened with ctypes and searched for the plain
-    OpenBLAS names and the scipy-openblas ones (with the ILP64 "64_" suffix).
+    contains "openblas" are opened with ctypes. ``name`` spells an OpenBLAS
+    function in the library's scheme, e.g. ``name.format("get_corename")``:
+    plain, or scipy-openblas's prefix with or without the ILP64 "64_" suffix.
     Empty where nothing is found, e.g. for another BLAS or another system.
     """
     try:
@@ -175,21 +175,30 @@ def openblas_thread_controls():
     except OSError:
         return ()
     paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    controls = []
+    found = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for stem in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads"):
-            get = getattr(lib, stem.format("get"), None)
-            set_ = getattr(lib, stem.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+        for name in ("openblas_{}", "scipy_openblas_{}64_", "scipy_openblas_{}"):
+            if hasattr(lib, name.format("get_num_threads")):
+                found.append((lib, name))
                 break
+    return tuple(found)
+
+
+@functools.cache
+def openblas_thread_controls():
+    """(get, set) thread-count functions of every loaded OpenBLAS, found once."""
+    controls = []
+    for lib, name in loaded_openblas():
+        get = getattr(lib, name.format("get_num_threads"), None)
+        set_ = getattr(lib, name.format("set_num_threads"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
     return tuple(controls)
 
 
@@ -255,12 +264,8 @@ def run_slabs(work, bounds):
     """Call work(start, stop) for each slab of ``bounds`` and wait for all of them.
 
     Slab 0 runs on the calling thread, the rest on a process-local thread
-    pool; numpy releases the GIL inside its BLAS calls. A single slab runs
-    inline, with no futures.
+    pool; numpy releases the GIL inside its BLAS calls.
     """
-    if len(bounds) == 2:
-        work(*bounds)
-        return
     slabs = list(zip(bounds, bounds[1:]))
     futures = [_slab_pool.submit(work, *slab) for slab in slabs[1:]]
     try:

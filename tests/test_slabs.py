@@ -50,17 +50,6 @@ def test_slab_bounds_follow_the_payload_the_pin_and_the_alignment(monkeypatch):
         assert slab_bounds(100, big) == [0, 100]
 
 
-def test_run_slabs_runs_one_slab_inline(monkeypatch):
-    class NoPool:
-        def submit(self, *args):
-            raise AssertionError("one slab submitted to the slab pool")
-
-    monkeypatch.setattr(linalg, "_slab_pool", NoPool())
-    done = []
-    linalg.run_slabs(lambda start, stop: done.append((start, stop)), [0, 7])
-    assert done == [(0, 7)]
-
-
 def test_run_slabs_waits_for_every_slab_and_raises_their_errors():
     done = []
 
