@@ -11,7 +11,6 @@ import json
 import math
 import statistics
 import time
-from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
@@ -36,6 +35,7 @@ from .weighting import (
     angles_to_weights,
     build_weight_operator,
     is_real,
+    read_config,
 )
 
 # Success criterion: normalized error <= 1e-2 within solver.MAX_ITERATIONS iterations.
@@ -152,14 +152,7 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg):
-        if not isinstance(cfg, Mapping):
-            raise ValueError(
-                f"a scenario must be a JSON object of fields, got {type(cfg).__name__}"
-            )
-        extra = set(cfg) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-        return cls(**cfg)
+        return read_config(cls, cfg, "scenario")
 
 
 def _require_int(name, value):
@@ -489,11 +482,7 @@ def run_grid(scenario, threads=1):
             rows.extend(cell_rows)
             successes = [row for row in cell_rows if row.success]
             snrs = [row.snr_db for row in successes if math.isfinite(row.snr_db)]
-            iters = [
-                row.iterations_to_success
-                for row in successes
-                if row.iterations_to_success is not None
-            ]
+            iters = [row.iterations_to_success for row in successes]
             aggregates.append(
                 AggregateRow(
                     solver=solver,

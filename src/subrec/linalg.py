@@ -66,24 +66,20 @@ dgeqp3, dgesdd, dorgqr = _flapack.dgeqp3, _flapack.dgesdd, _flapack.dorgqr
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
-def as_generator(rng):
-    """Pass numpy Generators through; treat anything else as seed material."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def finite_array(a):
+    """``a`` as a float array with its sum of squares; ValueError on a NaN or an Inf.
 
-
-def require_finite(a, squares):
-    """Raise ValueError if ``a`` holds a NaN or an Inf; ``squares`` is its sum of squares.
-
-    A NaN or Inf entry makes that sum NaN or Inf, so ``a`` is scanned only
+    A NaN or Inf entry makes the sum NaN or Inf, so the array is scanned only
     when the sum is not finite, which finite entries whose squares overflow
-    can also cause; those pass. The per-iteration kernels take the sum from a
-    product they form anyway, or from one dot product, in place of
-    ``np.asarray_chkfinite``'s pass of its own on every call.
+    can also cause; those pass. The per-iteration kernels take this one dot
+    product in place of ``np.asarray_chkfinite``'s pass of its own on every
+    call, and the support step and the QR reuse the sum.
     """
+    a = np.asarray(a, dtype=float)
+    squares = np.vdot(a, a)
     if not squares < np.inf:
         np.asarray_chkfinite(a)
+    return a, squares
 
 
 def svd(m):
@@ -96,8 +92,7 @@ def svd(m):
     directly: on the loop's 9 x 9 blocks ``np.linalg.svd``'s wrapper costs
     more than the decomposition.
     """
-    m = np.asarray(m, dtype=float)
-    require_finite(m, np.vdot(m, m))
+    m, _ = finite_array(m)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     if m.size == 0:
@@ -140,9 +135,7 @@ def orthonormalize(m):
     directly, which saves that wrapper's workspace queries and copies on the
     small inputs of the loop.
     """
-    m = np.asarray(m, dtype=float)
-    squares = np.vdot(m, m)
-    require_finite(m, squares)
+    m, squares = finite_array(m)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     if m.shape[1] == 0 or squares == 0 and not m.any():
@@ -165,7 +158,8 @@ def loaded_openblas():
     mapped into this process (Linux ``/proc/self/maps``) whose file name
     contains "openblas" are opened with ctypes. ``name`` spells an OpenBLAS
     function in the library's scheme, e.g. ``name.format("get_corename")``:
-    plain, or scipy-openblas's prefix with or without the ILP64 "64_" suffix.
+    plain or with scipy-openblas's "scipy_" prefix, each without a suffix or
+    with an ILP64 one, "64_" (numpy 1.x wheels, scipy-openblas64) or "_64".
     Empty where nothing is found, e.g. for another BLAS or another system.
     """
     try:
@@ -175,13 +169,15 @@ def loaded_openblas():
     except OSError:
         return ()
     paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    prefixes, suffixes = ("", "scipy_"), ("", "64_", "_64")
+    spellings = [f"{prefix}openblas_{{}}{suffix}" for prefix in prefixes for suffix in suffixes]
     found = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("openblas_{}", "scipy_openblas_{}64_", "scipy_openblas_{}"):
+        for name in spellings:
             if hasattr(lib, name.format("get_num_threads")):
                 found.append((lib, name))
                 break
@@ -289,8 +285,7 @@ def random_orthonormal(n, r, rng):
     """Haar-distributed (n, r) frame with orthonormal columns."""
     if r > n:
         raise ValueError(f"cannot fit {r} orthonormal columns in dimension {n}")
-    gen = as_generator(rng)
-    q, rr = np.linalg.qr(gen.standard_normal((n, r)))
+    q, rr = np.linalg.qr(np.random.default_rng(rng).standard_normal((n, r)))
     d = np.diag(rr)
     # Fixing the signs of R's diagonal makes the distribution rotation invariant.
     return q * np.where(d < 0, -1.0, 1.0)
@@ -313,7 +308,7 @@ def perturb_subspace(basis, target_angles_deg, rng):
         raise ValueError("target angles must lie in [0, 90] degrees")
     if n < 2 * r:
         raise ValueError(f"ambient dimension {n} too small to rotate {r} directions")
-    frame = _complement_frame(basis, r, as_generator(rng))
+    frame = _complement_frame(basis, r, np.random.default_rng(rng))
     theta = np.radians(angles)
     return basis * np.cos(theta) + frame * np.sin(theta)
 

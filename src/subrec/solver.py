@@ -165,11 +165,9 @@ def identify_support(proxy, k):
     """
     if k < 1:
         raise ValueError("support size must be at least 1")
-    proxy = np.asarray(proxy, dtype=float)
     # The squared Frobenius norm is the Gram's trace; where it is finite, no
     # entry of the Gram overflows.
-    trace = np.vdot(proxy, proxy)
-    linalg.require_finite(proxy, trace)
+    proxy, trace = linalg.finite_array(proxy)
     if trace == 0 and not proxy.any():
         return Support.empty(proxy.shape[0])
     k = min(k, *proxy.shape)
@@ -238,10 +236,9 @@ def least_squares_on_support(wop, y, support):
     if support.is_empty():
         raise ValueError("support is empty")
     base = wop.base
-    y = np.asarray(y, dtype=float)
+    y, _ = linalg.finite_array(y)
     if y.shape != (base.p,):
         raise ValueError(f"expected {base.p} measurements, got shape {y.shape}")
-    linalg.require_finite(y, np.vdot(y, y))
     u, v = support.left, support.right
     # The contiguous copies keep the BLAS summation order independent of how
     # the support arrays happen to be strided.

@@ -19,11 +19,9 @@ Small weight = trusted direction (cheap to use, amplified by Q^-1).
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-
-from .linalg import as_generator
 
 SINGLE = "single"
 PER_DIRECTION = "per_direction"
@@ -32,6 +30,24 @@ PER_DIRECTION = "per_direction"
 def is_real(value):
     """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def read_config(cls, cfg, what):
+    """The dataclass ``cls`` built from the JSON object ``cfg``, read strictly.
+
+    ValueError names ``what`` and the first fault in this order: ``cfg`` is
+    not an object, it has keys that are not fields of ``cls``, or it lacks a
+    field that has no default.
+    """
+    if not isinstance(cfg, Mapping):
+        raise ValueError(f"a {what} must be a JSON object of fields, got {type(cfg).__name__}")
+    extra = set(cfg) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    for f in fields(cls):
+        if f.name not in cfg and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} missing key {f.name!r}")
+    return cls(**cfg)
 
 
 @dataclass(frozen=True)
@@ -88,17 +104,7 @@ class WeightSpec:
 
     @classmethod
     def from_config(cls, cfg):
-        if not isinstance(cfg, Mapping):
-            raise ValueError(
-                f"a weight spec must be a JSON object of fields, got {type(cfg).__name__}"
-            )
-        extra = set(cfg) - {"mode", "span_weights", "complement_weights"}
-        if extra:
-            raise ValueError(f"unknown weight-spec keys: {sorted(extra)}")
-        try:
-            return cls(cfg["mode"], cfg["span_weights"], cfg["complement_weights"])
-        except KeyError as missing:
-            raise ValueError(f"weight spec missing key {missing}") from None
+        return read_config(cls, cfg, "weight spec")
 
 
 @dataclass(eq=False)
@@ -180,7 +186,7 @@ def _weighted_complement_directions(prior, reference, rng):
         return complement @ left[:, :r][:, ::-1]
     if rng is None:
         raise ValueError("per-direction weighting needs a complement reference or an rng")
-    g = as_generator(rng).standard_normal((n - r, r))
+    g = np.random.default_rng(rng).standard_normal((n - r, r))
     return complement @ np.linalg.qr(g)[0]
 
 

@@ -1,4 +1,5 @@
 import importlib.machinery
+import io
 import os
 import subprocess
 import sys
@@ -348,3 +349,31 @@ def test_missing_lapack_extension_names_the_path_searched(monkeypatch):
     with pytest.raises(ImportError) as missing:
         linalg._load_flapack()
     assert str(missing.value) == f"scipy's LAPACK extension scipy.linalg._flapack not found in {[where]}"
+
+
+@pytest.mark.parametrize("prefix", ["", "scipy_"])
+@pytest.mark.parametrize("suffix", ["", "64_", "_64"])
+def test_loaded_openblas_knows_every_prefix_and_suffix(monkeypatch, prefix, suffix):
+    # A stand-in library mapped at a made-up path exports the thread controls
+    # in one spelling only; numpy 1.x wheels bundle an ILP64 OpenBLAS whose
+    # functions are openblas_*64_.
+    name = f"{prefix}openblas_{{}}{suffix}"
+    maps = f"7f0000-7f1000 r-xp 00000000 08:01 42 /wheels/libopenblas{suffix}-r0.3.21.so\n"
+    symbols = {name.format(f): None for f in ("get_num_threads", "set_num_threads")}
+    stand_in = type("StandIn", (), symbols)()
+    monkeypatch.setattr(linalg, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: stand_in)
+    assert linalg.loaded_openblas() == ((stand_in, name),)
+
+
+def test_every_mapped_openblas_has_thread_controls():
+    # An OpenBLAS whose spelling loaded_openblas does not know would leave the
+    # BLAS of single_blas_thread's grids threaded; it fails here instead.
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        pytest.skip("no /proc/self/maps on this system")
+    fields = [line.split(maxsplit=5) for line in maps]
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    assert sorted(lib._name for lib, _ in linalg.loaded_openblas()) == sorted(paths)
+    assert len(linalg.openblas_thread_controls()) == len(paths)

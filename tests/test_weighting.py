@@ -234,9 +234,9 @@ def test_weight_spec_config_round_trip():
         WeightSpec.per_direction((0.17, 0.19, 0.21), (0.99, 0.98, 0.97)),
     ):
         assert WeightSpec.from_config(json.loads(json.dumps(asdict(spec)))) == spec
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight spec missing key 'complement_weights'$"):
         WeightSpec.from_config({"mode": "single", "span_weights": 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown weight spec keys: \['extra'\]$"):
         WeightSpec.from_config(
             {"mode": "single", "span_weights": 0.5, "complement_weights": 0.5, "extra": 1}
         )
