@@ -34,8 +34,8 @@ ORTHO_DROP_TOL = 1e-10
 # and won at 11.7 MB, so every n = 30 pass (at most 6.5 MB) stays one call.
 SLAB_MIN_BYTES = 8 * 2**20
 
-# Solves sharing the cores, set by ``single_blas_thread``; 0 (no slabs) outside.
-_solves_sharing_cores = 0
+# Slabs a large pass splits into, set by ``single_blas_thread``; 1 outside.
+_slabs_per_pass = 1
 
 
 def _load_flapack():
@@ -205,20 +205,21 @@ def single_blas_thread(solves=1):
     OpenBLAS keeps one count for the whole process (in the wheels' pthreads
     build even its ``_local`` setter does), so this pins every thread of the
     process. Inside the block a pass over a large sensing payload splits into
-    usable_cpus() // ``solves`` slabs on the cores the pin leaves idle. The
-    previous counts are restored when the block exits, normally or by an
-    exception. Without an OpenBLAS whose setter is found it only enables slabs.
+    usable_cpus() // ``solves`` slabs, counted once on entry, on the cores the
+    pin leaves idle. The previous counts are restored when the block exits,
+    normally or by an exception. Without an OpenBLAS whose setter is found it
+    only enables slabs.
     """
-    global _solves_sharing_cores
+    global _slabs_per_pass
     controls = openblas_thread_controls()
     previous = [get() for get, _ in controls]
-    previous_solves, _solves_sharing_cores = _solves_sharing_cores, solves
+    previous_slabs, _slabs_per_pass = _slabs_per_pass, usable_cpus() // solves
     for _, set_ in controls:
         set_(1)
     try:
         yield
     finally:
-        _solves_sharing_cores = previous_solves
+        _slabs_per_pass = previous_slabs
         for (_, set_), count in zip(controls, previous):
             set_(count)
 
@@ -233,12 +234,10 @@ def slab_bounds(length, payload_bytes, align=1):
     """Slab boundaries [0, ..., length] that split a pass over range(length).
 
     One slab unless the pass reads more than SLAB_MIN_BYTES inside
-    ``single_blas_thread(solves)``; then up to usable_cpus() // solves slabs,
+    ``single_blas_thread(solves)``; then up to the slab count it set on entry,
     each a near-equal run of whole ``align``-sized units.
     """
-    count = 1
-    if _solves_sharing_cores and payload_bytes > SLAB_MIN_BYTES:
-        count = usable_cpus() // _solves_sharing_cores
+    count = _slabs_per_pass if payload_bytes > SLAB_MIN_BYTES else 1
     units = -(-length // align)
     count = max(1, min(count, units))
     return [min(length, align * (units * i // count)) for i in range(count + 1)]

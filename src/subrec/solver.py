@@ -4,7 +4,7 @@ Each iteration: form the de-weighted correlation proxy, take its top-2r
 singular subspaces (from the eigenpairs of its Gram matrix, see
 ``identify_support``) as new support candidates, merge them with the previous
 support (dimension at most 3r), solve least squares restricted to the merged
-span, truncate back to rank r, and de-weight for the estimate. With no
+span, truncate back to rank r, and form the de-weighted estimate. With no
 weighting the loop is the plain unweighted baseline (admira).
 
 After the merge the iteration works in support coordinates, on the
@@ -20,10 +20,14 @@ linear map vec(M) -> A(Qu^-1 U M V^T Qv^-1) of the merged support:
 * Truncation to rank r takes the SVD of the small block M, not of the n x n
   estimate. The merged bases are orthonormal, so with M = a diag(s) b^T the
   factors (U a, s, V b) are an SVD of U M V^T and the rank-r truncation is
-  the same one, still in the weighted domain.
+  the same one, still in the weighted domain. The estimate is formed once,
+  de-weighted, as (g M_r) h^T with g = Qu^-1 U and h = Qv^-1 V, the bases
+  least squares already holds.
 * The residual is y - D vec(M_r), which equals y - A(Qu^-1 U M_r V^T Qv^-1)
   by the definition of D, so no pass over the sensing payload is needed after
-  the solve. The design is released before the next iteration.
+  the solve: for completion D vec(M_r) is the estimate's sampled entries, for
+  Gaussian sensing the design times vec(M_r). The design is released before
+  the next iteration.
 
 Under ``linalg.single_blas_thread`` the two passes of an iteration over a large
 Gaussian sensing tensor, the adjoint and the design assembly, split into slabs
@@ -192,26 +196,26 @@ def least_squares_on_support(wop, y, support):
     """Minimum-norm least squares confined to span{U M V^T} of the support.
 
     The design D maps vec(M) for a k_u x k_v block M to wop.apply(U M V^T)
-    for the WeightedOperator ``wop``.
-    Returns ``(coef, measure)``: the block M minimizing ||y - D vec(M)|| (the
-    estimate is U M V^T) and a function with measure(M') = D vec(M'), so
-    callers can measure any block without touching the operator again. ``y``
-    must be a finite vector of shape (p,); anything else raises ValueError.
+    for the WeightedOperator ``wop``. Returns ``(coef, estimate)``: the block
+    M minimizing ||y - D vec(M)|| and a function with estimate(M') =
+    (Qu^-1 U M' V^T Qv^-1, D vec(M')), any block's de-weighted matrix and its
+    measurements, formed without touching the operator again. ``y`` must be a
+    finite vector of shape (p,); anything else raises ValueError.
 
     A tall system (p >= k_u * k_v) is solved through the normal equations:
     LAPACK potrf factors the Gram matrix D^T D and potrs gives M; both are
     scipy's compiled wrappers, taken from ``linalg``, which loads them without
     importing ``scipy.linalg`` (see ``linalg._load_flapack``). With
     g = Qu^-1 U and h = Qv^-1 V, Gaussian sensing forms the Gram from the
-    explicit p x (k_u * k_v) design in about p k^4 flops, and measure(M') is
-    D vec(M'). Row i of that design is vec(g^T A_i h) for the sensing matrix
-    A_i, formed as (g^T A_i) h. Both orders cost about 2 p k n^2 flops, and
-    which is faster depends on the machine and on n. On one thread with
-    k = 9, g^T (A_i h) took 30 ms against 23 ms at n = 80, p = 2560 on a Xeon
-    VM. On a 2-vCPU AMD EPYC VM it was 3-7 % slower at n = 30 for every p
-    from 180 to 720 (0.236 against 0.221 ms at p = 720) but faster at n = 80,
-    p = 2560 (5.9 against 6.7 ms; medians of blocked designs). This order is
-    kept, which keeps the Gaussian design's bits.
+    explicit p x (k_u * k_v) design in about p k^4 flops, and estimate(M')
+    measures through it. Row i of that design is vec(g^T A_i h) for the
+    sensing matrix A_i, formed as (g^T A_i) h. Both orders cost about
+    2 p k n^2 flops, and which is faster depends on the machine and on n. On
+    one thread with k = 9, g^T (A_i h) took 30 ms against 23 ms at n = 80,
+    p = 2560 on a Xeon VM. On a 2-vCPU AMD EPYC VM it was 3-7 % slower at
+    n = 30 for every p from 180 to 720 (0.236 against 0.221 ms at p = 720)
+    but faster at n = 80, p = 2560 (5.9 against 6.7 ms; medians of blocked
+    designs). This order is kept, which keeps the Gaussian design's bits.
 
     For completion row i of D is g[r_i] kron h[c_i]. With the rows
     of GG and HH holding g_r kron g_r and h_c kron h_c and S the operator's
@@ -219,8 +223,8 @@ def least_squares_on_support(wop, y, support):
     index order, and D^T y = vec(g^T Y h) for the measurements Y scattered
     through the operator's flat index: about n k^4 flops, without building
     D. The mask and the scatter rely on the sampled index pairs being
-    distinct, which the operator checks when it is built. measure(M') gathers the sampled entries of the n x n product
-    (g M') h^T at the flat index.
+    distinct, which the operator checks when it is built. estimate(M')
+    measures by gathering its matrix (g M') h^T at the flat index.
 
     The Gram squares the condition number, so the Cholesky solution is kept
     only when the factorization succeeds and the ratio of the factor's
@@ -247,10 +251,6 @@ def least_squares_on_support(wop, y, support):
     tall = base.p >= g.shape[1] * h.shape[1]
     coef = None
     if base.kind == COMPLETION:
-
-        def measure(m):
-            return ((g @ m) @ h.T).take(base.flat)
-
         if tall:
             coef = _cholesky_solve(*_completion_normal_equations(base, g, h, y))
         if coef is None:
@@ -258,15 +258,16 @@ def least_squares_on_support(wop, y, support):
             design = (g[rows][:, :, None] * h[cols][:, None, :]).reshape(base.p, -1)
     else:
         design = _gaussian_design(base.mats, g, h)
-
-        def measure(m):
-            return design @ m.ravel()
-
         if tall:
             coef = _cholesky_solve(design.T @ design, design.T @ y)
     if coef is None:
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
-    return coef.reshape(u.shape[1], v.shape[1]), measure
+
+    def estimate(m):
+        x = (g @ m) @ h.T
+        return x, (x.take(base.flat) if base.kind == COMPLETION else design @ m.ravel())
+
+    return coef.reshape(u.shape[1], v.shape[1]), estimate
 
 
 def _gaussian_design(mats, g, h):
@@ -373,22 +374,20 @@ def solve(operator, y, config):
         if merged.is_empty():
             coef = np.zeros((0, 0))
         else:
-            coef, measure = least_squares_on_support(wop, y, merged)
+            coef, estimate = least_squares_on_support(wop, y, merged)
         if coef.any():
             a, s, bh = linalg.svd(coef)
-            coef_r = (a[:, :r] * s[:r]) @ bh[:r]
             support = Support(merged.left @ a[:, :r], merged.right @ bh[:r].T)
-            x_hat = (support.left * s[:r]) @ support.right.T
-            residual = y - measure(coef_r)
+            x_rec, fitted = estimate((a[:, :r] * s[:r]) @ bh[:r])
+            residual = y - fitted
         else:
-            x_hat = np.zeros((n, n))
+            x_rec = np.zeros((n, n))
             support = Support.empty(n)
             residual = y.copy()
-        # Drop the Gaussian design (held by measure) before the next iteration
+        # Drop the Gaussian design (held by estimate) before the next iteration
         # assembles another, so two never coexist (on a large Gaussian operator
         # that raises peak memory).
-        measure = None
-        x_rec = wop.deweight(x_hat)
+        estimate = None
         res_norm = math.sqrt(residual.dot(residual))
         trace.append(IterationRecord(res_norm, merged.dims, support.dims))
         estimates.append(x_rec)

@@ -310,12 +310,12 @@ def test_random_orthonormal_columns():
         random_orthonormal(2, 3, np.random.default_rng(0))
 
 
-LAPACK_ROUTINES = ("dgeqp3", "dorgqr", "dpotrf", "dpotrs")
+LAPACK_ROUTINES = ("dgeqp3", "dgesdd", "dorgqr", "dpotrf", "dpotrs")
 
-# Imports subrec, runs one weighted trial per operator kind (the merge's QR and
-# the Cholesky least squares both run), then prints which of the modules that
-# scipy.linalg's package init pulls in got loaded, and whether the routines are
-# still scipy's own once scipy.linalg is imported after all.
+# Imports subrec, runs one weighted trial per operator kind (the merge's QR, the
+# Cholesky least squares and the truncation's SVD all run), then prints which
+# of the modules that scipy.linalg's package init pulls in got loaded, and
+# whether the routines are still scipy's own once scipy.linalg is imported.
 IMPORT_GUARD = """
 import sys
 from dataclasses import replace

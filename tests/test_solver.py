@@ -451,12 +451,15 @@ def _check_against_oracle(wop, y, sup, lstsq_calls):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "lstsq", counting)
-        coef, measure = least_squares_on_support(wop, y, sup)
+        coef, estimate = least_squares_on_support(wop, y, sup)
     assert coef.shape == sup.dims
     assert len(calls) == lstsq_calls
     design = _oracle_design(wop, sup)
-    assert np.linalg.norm(measure(coef) - design @ coef.ravel()) <= (
+    x, fitted = estimate(coef)
+    assert np.linalg.norm(fitted - design @ coef.ravel()) <= (
         ORACLE_TOL * np.linalg.norm(design) * np.linalg.norm(coef))
+    x_oracle = wop.deweight(sup.left @ coef @ sup.right.T)
+    assert np.linalg.norm(x - x_oracle) <= ORACLE_TOL * max(1.0, np.linalg.norm(x_oracle))
     oracle = _pinv_oracle(wop, y, sup)
     assert np.linalg.norm(sup.left @ coef @ sup.right.T - oracle) <= ORACLE_TOL
 
@@ -608,8 +611,10 @@ def test_least_squares_ill_conditioned_tall_designs_take_gelsd(
 )
 def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio, noise, seed):
     # The loop takes its residual from the design; it must equal the residual
-    # of the de-weighted estimate measured through the raw operator. Every
-    # solve keeps one estimate per iteration, the last being the final one.
+    # of the de-weighted estimate measured through the raw operator. For
+    # completion the loop measures the estimate itself, by the gather the
+    # operator applies, so the two agree bit for bit. Every solve keeps one
+    # estimate per iteration, the last being the final one.
     rank = min(rank, n // 2)
     rng = np.random.default_rng(seed)
     p = max(1, int(ratio * n * n))
@@ -631,7 +636,10 @@ def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio,
     y_norm = np.linalg.norm(y)
     for rec, est in zip(run.trace, run.estimates):
         measured = np.linalg.norm(y - op.apply(est))
-        assert abs(rec.residual_norm - measured) <= 1e-10 * y_norm
+        if kind == COMPLETION:
+            assert rec.residual_norm == measured
+        else:
+            assert abs(rec.residual_norm - measured) <= 1e-10 * y_norm
 
 
 @PROPERTY
@@ -650,7 +658,7 @@ def test_completion_normal_equations_match_explicit_design(
     n, k_u, k_v, span_weight, full, empty_row, empty_col, seed, data
 ):
     # The mask-built Gram and right-hand side equal D^T D and D^T y of the
-    # explicit design, and measure(M) equals D vec(M), for any sampling:
+    # explicit design, and estimate(M) measures D vec(M), for any sampling:
     # every entry (p = n^2), or a subset that may leave the first row or the
     # first column without a sample.
     k_u, k_v = min(k_u, n), min(k_v, n)
@@ -678,10 +686,10 @@ def test_completion_normal_equations_match_explicit_design(
     assert np.linalg.norm(gram - design.T @ design) <= 1e-12 * np.linalg.norm(design) ** 2
     assert np.linalg.norm(rhs - design.T @ y) <= 1e-12 * scale
 
-    _, measure = least_squares_on_support(wop, y, sup)
+    _, estimate = least_squares_on_support(wop, y, sup)
     m = rng.standard_normal((k_u, k_v))
     expected = design @ m.ravel()
-    assert np.linalg.norm(measure(m) - expected) <= 1e-12 * np.linalg.norm(design) * np.linalg.norm(m)
+    assert np.linalg.norm(estimate(m)[1] - expected) <= 1e-12 * np.linalg.norm(design) * np.linalg.norm(m)
 
 
 @PROPERTY
@@ -720,10 +728,10 @@ def test_streamed_gaussian_design_equals_one_batched_product(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "DESIGN_BLOCK_BYTES", budget)
         streamed = _gaussian_design(wop.base.mats, g, h)
-        _, measure = least_squares_on_support(wop, rng.standard_normal(p), sup)
+        _, estimate = least_squares_on_support(wop, rng.standard_normal(p), sup)
     assert streamed.shape == batched.shape
     assert streamed.tobytes() == batched.tobytes()
-    assert np.array_equal(measure(m), batched @ m.ravel())
+    assert np.array_equal(estimate(m)[1], batched @ m.ravel())
 
 
 @PROPERTY
@@ -735,19 +743,22 @@ def test_streamed_gaussian_design_equals_one_batched_product(
     data=st.data(),
 )
 def test_completion_measure_equals_explicit_sensing_matrix(n, k_u, span_weight, seed, data):
-    # measure(M) gathers the sampled entries of one n x n product g M h^T; it
-    # must equal the explicit p x n^2 sensing matrix times the de-weighted
-    # U M V^T, with k_u != k_v so that a transposed factor cannot pass.
+    # estimate(M) is one n x n product g M h^T, the de-weighted U M V^T, and
+    # its sampled entries; they must equal the explicit p x n^2 sensing matrix
+    # times that matrix, with k_u != k_v so that a transposed factor cannot pass.
     k_u = min(k_u, n - 1)
     k_v = data.draw(st.integers(1, n).filter(lambda k: k != k_u), label="k_v")
     rng = np.random.default_rng(seed)
     op = make_completion(n, data.draw(st.integers(1, n * n), label="p"), rng)
     wop = _weighted(op, n, rng, span_weight)
     sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
-    _, measure = least_squares_on_support(wop, rng.standard_normal(op.p), sup)
+    _, estimate = least_squares_on_support(wop, rng.standard_normal(op.p), sup)
     m = rng.standard_normal((k_u, k_v))
-    expected = sensing_matrix(op) @ wop.deweight(sup.left @ m @ sup.right.T).ravel()
-    assert np.linalg.norm(measure(m) - expected) <= 1e-12 * np.linalg.norm(expected)
+    x, fitted = estimate(m)
+    x_dense = wop.deweight(sup.left @ m @ sup.right.T)
+    assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+    expected = sensing_matrix(op) @ x_dense.ravel()
+    assert np.linalg.norm(fitted - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @PROPERTY
