@@ -7,6 +7,8 @@ convergence constants of the weighted iteration, and a reproducible
 benchmark harness.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .analysis import (
@@ -66,49 +68,8 @@ from .weighting import (
     build_weight_operator,
 )
 
-__all__ = [
-    "Instance",
-    "MeasurementOperator",
-    "Report",
-    "RipEstimate",
-    "Scenario",
-    "SolverConfig",
-    "SolverRun",
-    "Support",
-    "TrialResult",
-    "WeightOperator",
-    "WeightSpec",
-    "WeightedOperator",
-    "angle_weight",
-    "angles_to_weights",
-    "build_weight_operator",
-    "builtin_presets",
-    "convergence_factor",
-    "delta_for_rate",
-    "delta_threshold",
-    "error_bound",
-    "estimate_rip",
-    "generate_instance",
-    "identify_support",
-    "least_squares_on_support",
-    "load_scenario",
-    "make_completion",
-    "make_gaussian",
-    "merge_support",
-    "orthonormalize",
-    "perturb_subspace",
-    "principal_angles",
-    "random_low_rank",
-    "random_orthonormal",
-    "read_matrix_csv",
-    "rip_survey",
-    "run_grid",
-    "run_trial",
-    "save_scenario",
-    "snr_db",
-    "solve",
-    "svd",
-    "write_matrix_csv",
-    "write_report_csv",
-    "write_report_json",
-]
+# The public names are the ones imported above, the submodules aside.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -36,6 +36,7 @@ from .weighting import (
     build_weight_operator,
     is_real,
     read_config,
+    real_tuple,
 )
 
 # Success criterion: normalized error <= 1e-2 within solver.MAX_ITERATIONS iterations.
@@ -83,9 +84,8 @@ class Scenario:
         for key in ("sampling_ratios", "theta_u", "theta_v"):
             values = getattr(self, key)
             if key == "sampling_ratios" or values is not None:
-                if not isinstance(values, (list, tuple)) or not all(map(is_real, values)):
-                    raise ValueError(f"{key} must be a list of numbers, got {values!r}")
-                object.__setattr__(self, key, tuple(float(v) for v in values))
+                values = real_tuple(values, f"{key} must be a list of numbers")
+                object.__setattr__(self, key, values)
         if not is_real(self.noise_level):
             raise ValueError(f"noise_level must be a number, got {self.noise_level!r}")
         object.__setattr__(self, "noise_level", float(self.noise_level))
@@ -252,6 +252,11 @@ def _cell_key(scenario, ratio, trial_index):
     return (int(scenario.master_seed), _ratio_key(ratio), int(trial_index))
 
 
+def _operator_seed(key):
+    """The seed a cell's sensing operator draws from: its key extended by 1."""
+    return (*key, 1)
+
+
 def generate_instance(scenario, ratio, trial_index, operator=None):
     """Build the seeded problem for one (ratio, trial) cell.
 
@@ -272,14 +277,15 @@ def generate_instance(scenario, ratio, trial_index, operator=None):
 def instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key, operator=None):
     """Sense ``truth`` as the scenario's cell at ``ratio``, seeded by the tuple ``key``.
 
-    The operator draws from (*key, 1), here unless it is given. Optional
+    The operator draws from ``_operator_seed(key)``, (*key, 1), here unless
+    it is given; the serial grid's draw-ahead takes the same seed. Optional
     noise adds a vector of the scenario's relative norm in a uniformly random
     direction from (*key, 2). Priors tilt truth_u and truth_v by the
     scenario's angles, from (*key, 3).
     """
     p = measurement_count(scenario.n, ratio)
     if operator is None:
-        operator = make_operator(scenario.operator_kind, scenario.n, p, (*key, 1))
+        operator = make_operator(scenario.operator_kind, scenario.n, p, _operator_seed(key))
     y = operator.apply(truth)
     if scenario.noise_level > 0.0:
         rng_noise = np.random.default_rng((*key, 2))
@@ -520,11 +526,11 @@ def _run_serially(scenario, run_cell):
         p = measurement_count(n, ratio)
         if not spare_core or 8 * p * n * n > linalg.SLAB_MIN_BYTES:
             return None
-        # The seed instance_from_truth draws the operator from. The tensor is
-        # allocated on this thread: allocated by the drawing thread, freed
-        # tensors stayed in its malloc arena, and perfbench's gauss_n30 peak
-        # RSS rose 15 % instead of 10 % in a probe on a 2-vCPU EPYC VM.
-        seed = (*_cell_key(scenario, ratio, trial_index), 1)
+        # The tensor is allocated on this thread: allocated by the drawing
+        # thread, freed tensors stayed in its malloc arena, and perfbench's
+        # gauss_n30 peak RSS rose 15 % instead of 10 % in a probe on a 2-vCPU
+        # EPYC VM.
+        seed = _operator_seed(_cell_key(scenario, ratio, trial_index))
         return linalg.run_on_spare_core(make_gaussian, n, p, seed, np.empty((p, n, n)))
 
     outcomes, ahead = {}, None

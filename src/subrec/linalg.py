@@ -82,6 +82,21 @@ def finite_array(a):
     return a, squares
 
 
+def finite_matrix(m):
+    """``finite_array`` of a matrix; ValueError also for an input that is not 2-d."""
+    m, squares = finite_array(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    return m, squares
+
+
+def lapack_info(routine, info):
+    """``info`` of a LAPACK call; ValueError if negative (an illegal argument)."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    return info
+
+
 def svd(m):
     """Economy SVD of a finite real matrix.
 
@@ -92,15 +107,11 @@ def svd(m):
     directly: on the loop's 9 x 9 blocks ``np.linalg.svd``'s wrapper costs
     more than the decomposition.
     """
-    m, _ = finite_array(m)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d array")
+    m, _ = finite_matrix(m)
     if m.size == 0:
         return np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1]))
     u, s, vh, info = dgesdd(m, compute_uv=1, full_matrices=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgesdd")
-    if info > 0:
+    if lapack_info("dgesdd", info) > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return u, s, vh
 
@@ -135,19 +146,15 @@ def orthonormalize(m):
     directly, which saves that wrapper's workspace queries and copies on the
     small inputs of the loop.
     """
-    m, squares = finite_array(m)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d array")
+    m, squares = finite_matrix(m)
     if m.shape[1] == 0 or squares == 0 and not m.any():
         return np.zeros((m.shape[0], 0))
     qr, _, tau, _, info = dgeqp3(m)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+    lapack_info("dgeqp3", info)
     kept = int(np.count_nonzero(np.abs(qr.diagonal()) > ORTHO_DROP_TOL))
     n_rows = m.shape[0]
     q, _, info = dorgqr(qr[:, :n_rows] if n_rows < m.shape[1] else qr, tau, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dorgqr")
+    lapack_info("dorgqr", info)
     return q[:, :kept]
 
 
@@ -296,9 +303,10 @@ def perturb_subspace(basis, target_angles_deg, rng):
     Column i of the result is cos(t_i) * basis_i + sin(t_i) * q_i with the q_i
     an orthonormal frame inside the complement of ``basis``, so the principal
     angles between the input and output spans are exactly sorted(target_angles).
-    Requires ambient_dim >= 2 * rank to host the complement frame.
+    Requires ambient_dim >= 2 * rank to host the complement frame, and a
+    finite 2-d basis (``finite_matrix``).
     """
-    basis = np.asarray_chkfinite(basis, dtype=float)
+    basis, _ = finite_matrix(basis)
     n, r = basis.shape
     angles = np.asarray(target_angles_deg, dtype=float)
     if angles.shape != (r,):

@@ -65,11 +65,16 @@ class MeasurementOperator:
             return x.take(self.flat)
         return self.mats.reshape(self.p, -1) @ x.ravel()
 
-    def adjoint(self, y):
-        """Adjoint map: sum_i y_i A_i, or scatter of y onto the sampled entries."""
-        y = np.asarray(y, dtype=float)
+    def measurements(self, y):
+        """``y`` as a float vector of p measurements; ValueError unless finite and of shape (p,)."""
+        y, _ = linalg.finite_array(y)
         if y.shape != (self.p,):
             raise ValueError(f"expected {self.p} measurements, got shape {y.shape}")
+        return y
+
+    def adjoint(self, y):
+        """Adjoint map: sum_i y_i A_i, or scatter of y onto the sampled entries."""
+        y = self.measurements(y)
         if self.kind == COMPLETION:
             return self.scatter(y)
         flat = self.mats.reshape(self.p, -1)

@@ -9,25 +9,16 @@ weighting the loop is the plain unweighted baseline (admira).
 
 After the merge the iteration works in support coordinates, on the
 k_u x k_v coefficient block M of the estimate U M V^T and the design D, the
-linear map vec(M) -> A(Qu^-1 U M V^T Qv^-1) of the merged support:
-
-* Least squares solves the normal equations D^T D m = D^T y by Cholesky when
-  the system is tall and the factor is well conditioned, and falls back to
-  SVD-based ``np.linalg.lstsq`` (gelsd) on the explicit design otherwise.
-  For completion the normal equations come from the sampling mask and the
-  explicit design is built only for that fallback; see
-  ``least_squares_on_support``.
-* Truncation to rank r takes the SVD of the small block M, not of the n x n
-  estimate. The merged bases are orthonormal, so with M = a diag(s) b^T the
-  factors (U a, s, V b) are an SVD of U M V^T and the rank-r truncation is
-  the same one, still in the weighted domain. The estimate is formed once,
-  de-weighted, as (g M_r) h^T with g = Qu^-1 U and h = Qv^-1 V, the bases
-  least squares already holds.
-* The residual is y - D vec(M_r), which equals y - A(Qu^-1 U M_r V^T Qv^-1)
-  by the definition of D, so no pass over the sensing payload is needed after
-  the solve: for completion D vec(M_r) is the estimate's sampled entries, for
-  Gaussian sensing the design times vec(M_r). The design is released before
-  the next iteration.
+linear map vec(M) -> A(Qu^-1 U M V^T Qv^-1) of the merged support, and
+``least_squares_on_support`` solves for M. Truncation to rank r takes the
+SVD of M, not of the n x n estimate: the merged bases are orthonormal, so
+with M = a diag(s) b^T the factors (U a, s, V b) are an SVD of U M V^T and
+the rank-r truncation is the same one, still in the weighted domain. The
+estimate is formed once, de-weighted, as (g M_r) h^T with g = Qu^-1 U and
+h = Qv^-1 V, and the residual is y - D vec(M_r), which equals
+y - A(Qu^-1 U M_r V^T Qv^-1) by the definition of D, so no pass over the
+sensing payload follows the solve. The design is released before the next
+iteration.
 
 Under ``linalg.single_blas_thread`` the two passes of an iteration over a large
 Gaussian sensing tensor, the adjoint and the design assembly, split into slabs
@@ -152,8 +143,9 @@ def identify_support(proxy, k):
 
     This is the size-k support maximizing the Frobenius norm of the projected
     proxy (Eckart-Young). An all-zero proxy yields an empty support, which
-    signals stagnation upstream. k is capped at the smaller dimension, and
-    NaN/Inf entries raise ValueError.
+    signals stagnation upstream. k is capped at the smaller dimension, and a
+    proxy that is not a finite 2-d array raises ValueError
+    (``linalg.finite_matrix``).
 
     The left basis is the top-k eigenvectors of the Gram matrix P P^T
     (``np.linalg.eigh``), the right basis is P^T times it with each column
@@ -171,7 +163,7 @@ def identify_support(proxy, k):
         raise ValueError("support size must be at least 1")
     # The squared Frobenius norm is the Gram's trace; where it is finite, no
     # entry of the Gram overflows.
-    proxy, trace = linalg.finite_array(proxy)
+    proxy, trace = linalg.finite_matrix(proxy)
     if trace == 0 and not proxy.any():
         return Support.empty(proxy.shape[0])
     k = min(k, *proxy.shape)
@@ -200,7 +192,8 @@ def least_squares_on_support(wop, y, support):
     M minimizing ||y - D vec(M)|| and a function with estimate(M') =
     (Qu^-1 U M' V^T Qv^-1, D vec(M')), any block's de-weighted matrix and its
     measurements, formed without touching the operator again. ``y`` must be a
-    finite vector of shape (p,); anything else raises ValueError.
+    finite vector of shape (p,); anything else raises ValueError
+    (``MeasurementOperator.measurements``).
 
     A tall system (p >= k_u * k_v) is solved through the normal equations:
     LAPACK potrf factors the Gram matrix D^T D and potrs gives M; both are
@@ -209,13 +202,9 @@ def least_squares_on_support(wop, y, support):
     g = Qu^-1 U and h = Qv^-1 V, Gaussian sensing forms the Gram from the
     explicit p x (k_u * k_v) design in about p k^4 flops, and estimate(M')
     measures through it. Row i of that design is vec(g^T A_i h) for the
-    sensing matrix A_i, formed as (g^T A_i) h. Both orders cost about
-    2 p k n^2 flops, and which is faster depends on the machine and on n. On
-    one thread with k = 9, g^T (A_i h) took 30 ms against 23 ms at n = 80,
-    p = 2560 on a Xeon VM. On a 2-vCPU AMD EPYC VM it was 3-7 % slower at
-    n = 30 for every p from 180 to 720 (0.236 against 0.221 ms at p = 720)
-    but faster at n = 80, p = 2560 (5.9 against 6.7 ms; medians of blocked
-    designs). This order is kept, which keeps the Gaussian design's bits.
+    sensing matrix A_i, formed as (g^T A_i) h, which keeps the design's bits:
+    g^T (A_i h) costs the same 2 p k n^2 flops, and on one thread of a 2-vCPU
+    AMD EPYC VM (k = 9) it was 3-7 % slower at n = 30 and faster at n = 80.
 
     For completion row i of D is g[r_i] kron h[c_i]. With the rows
     of GG and HH holding g_r kron g_r and h_c kron h_c and S the operator's
@@ -240,9 +229,7 @@ def least_squares_on_support(wop, y, support):
     if support.is_empty():
         raise ValueError("support is empty")
     base = wop.base
-    y, _ = linalg.finite_array(y)
-    if y.shape != (base.p,):
-        raise ValueError(f"expected {base.p} measurements, got shape {y.shape}")
+    y = base.measurements(y)
     u, v = support.left, support.right
     # The contiguous copies keep the BLAS summation order independent of how
     # the support arrays happen to be strided.
@@ -316,16 +303,13 @@ def _cholesky_solve(gram, rhs):
     the mask-built completion Gram can be, the factor moves at that level.
     """
     factor, info = dpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    if info > 0:
+    if linalg.lapack_info("dpotrf", info) > 0:
         return None
     diag = factor.diagonal()
     if not diag.min() > GRAM_DIAG_RATIO_MIN * diag.max():
         return None
     coef, info = dpotrs(factor, rhs, lower=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    linalg.lapack_info("dpotrs", info)
     return coef
 
 
@@ -337,7 +321,8 @@ def solve(operator, y, config):
     operator : MeasurementOperator
         The raw (unweighted) measurement map.
     y : array of shape (p,)
-        Measurements of the target matrix.
+        Measurements of the target matrix; finite, with the ValueError of
+        ``MeasurementOperator.measurements`` otherwise.
     config : SolverConfig
 
     Returns
@@ -348,9 +333,7 @@ def solve(operator, y, config):
     RESIDUAL_TOLERANCE, 'stagnation' after STAGNATION_RUN flat iterations,
     else 'max_iter' after MAX_ITERATIONS.
     """
-    y = np.asarray_chkfinite(y, dtype=float)
-    if y.shape != (operator.p,):
-        raise ValueError(f"expected {operator.p} measurements, got shape {y.shape}")
+    y = operator.measurements(y)
     n = operator.n
     r = config.rank
     if r > n:

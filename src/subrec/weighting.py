@@ -23,6 +23,8 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .linalg import finite_matrix
+
 SINGLE = "single"
 PER_DIRECTION = "per_direction"
 
@@ -30,6 +32,13 @@ PER_DIRECTION = "per_direction"
 def is_real(value):
     """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def real_tuple(values, rule):
+    """A list or tuple of numbers as floats; ValueError "<rule>, got <values>" for anything else."""
+    if not isinstance(values, (list, tuple)) or not all(map(is_real, values)):
+        raise ValueError(f"{rule}, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def read_config(cls, cfg, what):
@@ -76,11 +85,8 @@ class WeightSpec:
                     raise ValueError(f"{key} must be a number in single mode, got {value!r}")
                 value = float(value)
             else:
-                if not isinstance(value, (list, tuple)) or not all(map(is_real, value)):
-                    raise ValueError(
-                        f"{key} must be a list of numbers in per-direction mode, got {value!r}"
-                    )
-                value = tuple(float(w) for w in value)
+                rule = f"{key} must be a list of numbers in per-direction mode"
+                value = real_tuple(value, rule)
             object.__setattr__(self, key, value)
         span, comp = self.span_weights, self.complement_weights
         if self.mode == PER_DIRECTION and (len(span) != len(comp) or not span):
@@ -124,8 +130,8 @@ class WeightOperator:
 def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     """Assemble Q and Q^-1 for a prior basis and a weight specification.
 
-    Both modes take the module's one formula; a non-finite prior or reference
-    raises ValueError.
+    Both modes take the module's one formula; a prior or reference that is
+    not a finite 2-d array raises ValueError (``linalg.finite_matrix``).
 
     In per-direction mode the r weighted complement directions are the ones
     most aligned with ``complement_reference`` (normally the ground-truth
@@ -133,9 +139,7 @@ def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     angles get the weights, ordered to match them). Without a reference the
     directions are drawn at random from the complement, which requires ``rng``.
     """
-    prior = np.asarray_chkfinite(prior, dtype=float)
-    if prior.ndim != 2:
-        raise ValueError("prior basis must be 2-d")
+    prior, _ = finite_matrix(prior)
     n, r = prior.shape
     if np.linalg.norm(prior.T @ prior - np.eye(r)) > 1e-8:
         raise ValueError("prior basis columns are not orthonormal")
@@ -176,7 +180,7 @@ def _weighted_complement_directions(prior, reference, rng):
     n, r = prior.shape
     complement = np.linalg.svd(prior, full_matrices=True)[0][:, r:]
     if reference is not None:
-        reference = np.asarray_chkfinite(reference, dtype=float)
+        reference, _ = finite_matrix(reference)
         if reference.shape[0] != n or reference.shape[1] < r:
             raise ValueError("complement reference has incompatible shape")
         left = np.linalg.svd(complement.T @ reference, full_matrices=False)[0]

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from subrec.solver import least_squares_on_support
+
 
 def truncate_rank(m, r):
     """Best rank-r approximation of ``m`` in Frobenius norm (Eckart-Young)."""
@@ -21,6 +23,45 @@ def sensing_matrix(op):
     """The explicit p x n^2 matrix of a measurement operator, column k = op.apply(e_k)."""
     eye = np.eye(op.n * op.n)
     return np.column_stack([op.apply(e.reshape(op.n, op.n)) for e in eye])
+
+
+def dense_design(wop, sup):
+    """Least-squares design on a support, row by row: row i is vec(U^T Qu^-1 A_i Qv^-1 V).
+
+    ``wop`` is a weighted operator (a None factor is the identity) and ``sup``
+    a support with orthonormal ``left`` (U) and ``right`` (V) bases.
+    """
+    base = wop.base
+    qu = np.eye(base.n) if wop.qu_inv is None else wop.qu_inv
+    qv = np.eye(base.n) if wop.qv_inv is None else wop.qv_inv
+    rows = []
+    for i in range(base.p):
+        if base.kind == "completion":
+            a_i = np.zeros((base.n, base.n))
+            a_i[base.indices[i, 0], base.indices[i, 1]] = 1.0
+        else:
+            a_i = base.mats[i]
+        rows.append((sup.left.T @ qu @ a_i @ qv @ sup.right).ravel())
+    return np.vstack(rows)
+
+
+def pinv_least_squares(wop, y, sup):
+    """The matrix U M V^T of the minimum-norm least-squares block M on ``sup``.
+
+    M comes from ``dense_design`` and an explicit SVD pseudo-inverse that
+    keeps singular values above 1e-12 of the largest.
+    """
+    design = dense_design(wop, sup)
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
+    keep = s > s[0] * 1e-12 if s.size else np.zeros(0, bool)
+    coef = vh[keep].T @ ((u[:, keep].T @ y) / s[keep])
+    return sup.left @ coef.reshape(sup.dims) @ sup.right.T
+
+
+def ls_estimate(wop, y, sup):
+    """The matrix U M V^T of the library's least-squares block M, to compare with the oracle."""
+    coef, _ = least_squares_on_support(wop, y, sup)
+    return sup.left @ coef @ sup.right.T
 
 
 @dataclass

@@ -7,7 +7,7 @@ outcomes are reproducible bit for bit.
 
 import mpmath
 import numpy as np
-from oracles import truncate_rank
+from oracles import ls_estimate, pinv_least_squares, truncate_rank
 
 from subrec import analysis, bench
 from subrec.linalg import (
@@ -23,7 +23,7 @@ from subrec.operators import (
     make_gaussian,
     random_low_rank,
 )
-from subrec.solver import SolverConfig, Support, least_squares_on_support, solve
+from subrec.solver import SolverConfig, Support, solve
 from subrec.weighting import WeightSpec, build_weight_operator
 
 
@@ -31,12 +31,6 @@ def _report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} ({name}): {status}" + (f"  [{detail}]" if detail else ""))
     assert ok, f"acceptance criterion {num} ({name}) failed {detail}"
-
-
-def _ls_estimate(op, y, sup):
-    """The matrix U M V^T of least_squares_on_support's coefficient block M."""
-    coef, _ = least_squares_on_support(op, y, sup)
-    return sup.left @ coef @ sup.right.T
 
 
 def _success_rate(scenario, ratio, solver, trials=50):
@@ -116,26 +110,6 @@ def test_criterion_3_weighted_isometry_identities():
     )
 
 
-def _dense_pinv_oracle(wop, y, support):
-    """Independent least-squares route: looped rows, explicit SVD pseudo-inverse."""
-    base = wop.base
-    qu = np.eye(base.n) if wop.qu_inv is None else wop.qu_inv
-    qv = np.eye(base.n) if wop.qv_inv is None else wop.qv_inv
-    rows = []
-    for i in range(base.p):
-        if base.kind == "completion":
-            a_i = np.zeros((base.n, base.n))
-            a_i[base.indices[i, 0], base.indices[i, 1]] = 1.0
-        else:
-            a_i = base.mats[i]
-        rows.append((support.left.T @ qu @ a_i @ qv @ support.right).ravel())
-    design = np.vstack(rows)
-    u, s, vh = np.linalg.svd(design, full_matrices=False)
-    keep = s > s[0] * 1e-12
-    coef = vh[keep].T @ ((u[:, keep].T @ y) / s[keep])
-    return support.left @ coef.reshape(support.dims) @ support.right.T
-
-
 def test_criterion_4_least_squares_oracle():
     rng = np.random.default_rng(404)
     worst = 0.0
@@ -151,7 +125,7 @@ def test_criterion_4_least_squares_oracle():
         )
         y = rng.standard_normal(p)
         diff = np.linalg.norm(
-            _ls_estimate(wop, y, support) - _dense_pinv_oracle(wop, y, support)
+            ls_estimate(wop, y, support) - pinv_least_squares(wop, y, support)
         )
         worst = max(worst, float(diff))
     _report(4, "least-squares oracle equivalence", worst <= 1e-10, f"max diff {worst:.2e}")
@@ -258,7 +232,7 @@ def test_criterion_10_property_bundle():
     qu, qv = config.weighting
     wop = WeightedOperator(instance.operator, qu.q_inv, qv.q_inv)
     support = Support(random_orthonormal(30, 3, rng), random_orthonormal(30, 3, rng))
-    x_tilde = _ls_estimate(wop, instance.y, support)
+    x_tilde = ls_estimate(wop, instance.y, support)
     residual = instance.y - wop.apply(x_tilde)
     for _ in range(20):
         z = support.left @ rng.standard_normal((3, 3)) @ support.right.T

@@ -1,6 +1,7 @@
 import importlib.machinery
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from subrec.linalg import (
     random_orthonormal,
     svd,
 )
+from subrec.solver import identify_support
 
 
 def test_svd_identity():
@@ -86,6 +88,34 @@ def test_svd_shapes_match_numpy(shape):
 def test_svd_rejects_non_2d_input():
     with pytest.raises(ValueError):
         svd(np.ones(3))
+
+
+MATRIX_KERNELS = {
+    "svd": svd,
+    "orthonormalize": orthonormalize,
+    "identify_support": lambda m: identify_support(m, 2),
+    "perturb_subspace": lambda m: perturb_subspace(m, [1.0], np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 4, 4)], ids=["0-d", "1-d", "3-d"])
+@pytest.mark.parametrize("name", MATRIX_KERNELS)
+def test_matrix_kernels_share_the_2d_rule(name, shape):
+    # Each kernel takes its input through linalg.finite_matrix, so a finite
+    # array of any other rank gets that check's ValueError, not an unpacking,
+    # broadcasting or LAPACK error from further in.
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2-d array, got shape {shape}")):
+        MATRIX_KERNELS[name](np.ones(shape))
+
+
+def test_lapack_info_raises_only_on_an_illegal_argument(monkeypatch):
+    assert linalg.lapack_info("dgeqp3", 0) == 0
+    assert linalg.lapack_info("dpotrf", 2) == 2
+    with pytest.raises(ValueError, match="^illegal value in argument 4 of dorgqr$"):
+        linalg.lapack_info("dorgqr", -4)
+    monkeypatch.setattr(linalg, "dgesdd", lambda m, compute_uv, full_matrices: (None,) * 3 + (-1,))
+    with pytest.raises(ValueError, match="^illegal value in argument 1 of dgesdd$"):
+        svd(np.eye(3))
 
 
 # Self-checks of the tests' rank-truncation oracle (tests/oracles.py).

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_solve, sensing_matrix
+from oracles import dense_design, ls_estimate, pinv_least_squares, reference_solve, sensing_matrix
 from subrec import solver
 from subrec.linalg import dpotrf, dpotrs, random_orthonormal, svd
 from subrec.operators import (
@@ -32,12 +32,6 @@ from subrec.solver import (
     solve,
 )
 from subrec.weighting import WeightSpec, build_weight_operator
-
-
-def _ls_estimate(op, y, sup):
-    """The matrix U M V^T of least_squares_on_support's coefficient block M."""
-    coef, _ = least_squares_on_support(op, y, sup)
-    return sup.left @ coef @ sup.right.T
 
 
 def test_identify_support_diagonal():
@@ -205,7 +199,7 @@ def test_least_squares_zero_measurements():
     rng = np.random.default_rng(4)
     op = make_gaussian(6, 12, 5)
     sup = Support(random_orthonormal(6, 2, rng), random_orthonormal(6, 2, rng))
-    out = _ls_estimate(WeightedOperator(op), np.zeros(12), sup)
+    out = ls_estimate(WeightedOperator(op), np.zeros(12), sup)
     assert np.allclose(out, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         least_squares_on_support(WeightedOperator(op), np.zeros(12), Support.empty(6))
@@ -221,33 +215,8 @@ def test_least_squares_recovers_truth_in_span():
     m = rng.standard_normal((2, 2))
     truth = sup.left @ m @ sup.right.T
     y = wop.apply(truth)
-    out = _ls_estimate(wop, y, sup)
+    out = ls_estimate(wop, y, sup)
     assert np.linalg.norm(out - truth) <= 1e-8
-
-
-def _oracle_design(wop, sup):
-    """Row-by-row dense design: row i is vec(U^T Qu^-1 A_i Qv^-1 V)."""
-    base = wop.base
-    qu = np.eye(base.n) if wop.qu_inv is None else wop.qu_inv
-    qv = np.eye(base.n) if wop.qv_inv is None else wop.qv_inv
-    rows = []
-    for i in range(base.p):
-        if base.kind == "completion":
-            a_i = np.zeros((base.n, base.n))
-            a_i[base.indices[i, 0], base.indices[i, 1]] = 1.0
-        else:
-            a_i = base.mats[i]
-        rows.append((sup.left.T @ qu @ a_i @ qv @ sup.right).ravel())
-    return np.vstack(rows)
-
-
-def _pinv_oracle(wop, y, sup):
-    """Row-by-row dense design plus explicit SVD pseudo-inverse."""
-    design = _oracle_design(wop, sup)
-    u, s, vh = np.linalg.svd(design, full_matrices=False)
-    keep = s > s[0] * 1e-12 if s.size else np.zeros(0, bool)
-    coef = vh[keep].T @ ((u[:, keep].T @ y) / s[keep])
-    return sup.left @ coef.reshape(sup.dims) @ sup.right.T
 
 
 def test_least_squares_matches_pinv_oracle_small():
@@ -262,7 +231,7 @@ def test_least_squares_matches_pinv_oracle_small():
         sup = Support(random_orthonormal(4, ku, rng), random_orthonormal(4, kv, rng))
         y = rng.standard_normal(p)
         assert np.linalg.norm(
-            _ls_estimate(wop, y, sup) - _pinv_oracle(wop, y, sup)
+            ls_estimate(wop, y, sup) - pinv_least_squares(wop, y, sup)
         ) <= 1e-10
 
 
@@ -338,7 +307,7 @@ def test_least_squares_residual_optimality_and_orthogonality():
     wop = WeightedOperator(op, q.q_inv, q.q_inv)
     sup = Support(random_orthonormal(n, 3, rng), random_orthonormal(n, 3, rng))
     y = rng.standard_normal(p)
-    x_tilde = _ls_estimate(wop, y, sup)
+    x_tilde = ls_estimate(wop, y, sup)
     residual = y - wop.apply(x_tilde)
     base = np.linalg.norm(residual)
     for _ in range(20):
@@ -419,6 +388,26 @@ def test_least_squares_accepts_measurements_whose_squares_overflow(kind):
         assert np.allclose(coef / 1e200, want, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", [GAUSSIAN, COMPLETION])
+def test_solve_and_least_squares_share_one_measurement_check(kind):
+    rng = np.random.default_rng(25)
+    n, p = 6, 20
+    op = make_completion(n, p, rng) if kind == COMPLETION else make_gaussian(n, p, rng)
+    sup = Support(random_orthonormal(n, 2, rng), random_orthonormal(n, 2, rng))
+    with_nan = rng.standard_normal(p)
+    with_nan[3] = np.nan
+    for y, message in (
+        (with_nan, "array must not contain infs or NaNs"),
+        (np.ones(p - 1), r"expected 20 measurements, got shape \(19,\)"),
+    ):
+        for call in (
+            lambda: solve(op, y, SolverConfig(rank=2)),
+            lambda: least_squares_on_support(WeightedOperator(op), y, sup),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+
 def test_solve_input_validation():
     op = make_gaussian(6, 12, 22)
     with pytest.raises(ValueError):
@@ -454,13 +443,13 @@ def _check_against_oracle(wop, y, sup, lstsq_calls):
         coef, estimate = least_squares_on_support(wop, y, sup)
     assert coef.shape == sup.dims
     assert len(calls) == lstsq_calls
-    design = _oracle_design(wop, sup)
+    design = dense_design(wop, sup)
     x, fitted = estimate(coef)
     assert np.linalg.norm(fitted - design @ coef.ravel()) <= (
         ORACLE_TOL * np.linalg.norm(design) * np.linalg.norm(coef))
     x_oracle = wop.deweight(sup.left @ coef @ sup.right.T)
     assert np.linalg.norm(x - x_oracle) <= ORACLE_TOL * max(1.0, np.linalg.norm(x_oracle))
-    oracle = _pinv_oracle(wop, y, sup)
+    oracle = pinv_least_squares(wop, y, sup)
     assert np.linalg.norm(sup.left @ coef @ sup.right.T - oracle) <= ORACLE_TOL
 
 
@@ -677,7 +666,7 @@ def test_completion_normal_equations_match_explicit_design(
     wop = _weighted(op, n, rng, span_weight)
     sup = Support(random_orthonormal(n, k_u, rng), random_orthonormal(n, k_v, rng))
     y = rng.standard_normal(op.p)
-    design = _oracle_design(wop, sup)
+    design = dense_design(wop, sup)
 
     g = sup.left if wop.qu_inv is None else wop.qu_inv @ sup.left
     h = sup.right if wop.qv_inv is None else wop.qv_inv @ sup.right

@@ -166,6 +166,16 @@ def test_build_rejects_bad_inputs():
         build_weight_operator(small, WeightSpec.per_direction((0.5,) * 3, (0.5,) * 3), rng=rng)
 
 
+def test_build_rejects_prior_and_reference_that_are_not_2d():
+    rng = np.random.default_rng(11)
+    prior = random_orthonormal(10, 3, rng)
+    spec = WeightSpec.per_direction((0.5,) * 3, (0.5,) * 3)
+    with pytest.raises(ValueError, match=r"^expected a 2-d array, got shape \(10,\)$"):
+        build_weight_operator(prior[:, 0], WeightSpec.single(0.5, 0.9))
+    with pytest.raises(ValueError, match=r"^expected a 2-d array, got shape \(10,\)$"):
+        build_weight_operator(prior, spec, complement_reference=prior[:, 0])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_build_rejects_non_finite_prior_and_reference(value):
     # A NaN prior slipped past the orthonormality check (nan > 1e-8 is False)
