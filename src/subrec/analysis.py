@@ -64,10 +64,12 @@ def error_bound(delta, k, init_err, proxy_noise, residual_noise):
 def snr_db(truth, estimate):
     """Recovery SNR in dB: 20 log10(||truth||_F / ||truth - estimate||_F).
 
-    Returns math.inf for an exact match; raises on a zero reference matrix.
+    Returns math.inf for an exact match; raises on a zero truth or unequal shapes.
     """
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
+    if truth.shape != estimate.shape:
+        raise ValueError(f"truth has shape {truth.shape} but the estimate {estimate.shape}")
     ref = np.linalg.norm(truth)
     if ref == 0.0:
         raise ValueError("reference matrix is zero")

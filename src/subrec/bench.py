@@ -17,12 +17,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analysis, linalg
-from .linalg import perturb_subspace, random_orthonormal, single_blas_thread
+from .linalg import angle_vector, perturb_subspace, random_orthonormal, single_blas_thread
 from .operators import (
     COMPLETION,
     GAUSSIAN,
     WeightedOperator,
     estimate_rip,
+    known_kind,
     make_completion,
     make_gaussian,
     random_low_rank,
@@ -42,8 +43,10 @@ from .weighting import (
 # Success criterion: normalized error <= 1e-2 within solver.MAX_ITERATIONS iterations.
 SUCCESS_ERROR = 1e-2
 
-SOLVER_IDS = ("admira", "rmspi", "grmspi")
-WEIGHT_FIELDS = ("rmspi_weights_u", "rmspi_weights_v", "grmspi_weights_u", "grmspi_weights_v")
+# The solver table: the weighting mode each solver builds from its priors.
+SOLVER_MODES = {"admira": None, "rmspi": SINGLE, "grmspi": PER_DIRECTION}
+SOLVER_IDS = tuple(SOLVER_MODES)
+WEIGHT_FIELDS = tuple(f"{s}_weights_{side}" for s in SOLVER_IDS if SOLVER_MODES[s] for side in "uv")
 
 # Preset principal angles (degrees, ascending) for the close and far prior
 # scenarios; one pair per scenario family.
@@ -108,8 +111,7 @@ class Scenario:
         if not 1 <= self.rank <= max_rank:
             suffix = " to build priors" if has_priors else ""
             raise ValueError(f"rank must lie in [1, {max_rank}]{suffix}")
-        if self.operator_kind not in (GAUSSIAN, COMPLETION):
-            raise ValueError(f"unknown operator kind {self.operator_kind!r}")
+        known_kind(self.operator_kind)
         if not self.sampling_ratios:
             raise ValueError("need at least one sampling ratio")
         for ratio in self.sampling_ratios:
@@ -128,9 +130,7 @@ class Scenario:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if not self.solvers or len(set(self.solvers)) < len(self.solvers):
             raise ValueError(f"solvers must be one or more distinct names, got {list(self.solvers)}")
-        for solver in self.solvers:
-            if solver not in SOLVER_IDS:
-                raise ValueError(f"unknown solver {solver!r}")
+        modes = [weighting_mode(solver) for solver in self.solvers]
         for key in WEIGHT_FIELDS:
             spec = getattr(self, key)
             if spec is not None and spec.rank not in (None, self.rank):
@@ -138,7 +138,7 @@ class Scenario:
                     f"{key} carries {spec.rank} per-direction weights for rank {self.rank}"
                 )
         if not has_priors:
-            if any(s != "admira" for s in self.solvers):
+            if any(modes):
                 raise ValueError("rmspi and grmspi need prior angles theta_u and theta_v")
             return
         for theta in (self.theta_u, self.theta_v):
@@ -147,12 +147,18 @@ class Scenario:
                     f"theta_u and theta_v need one prior angle per rank direction "
                     f"({self.rank} each), or both null for no priors"
                 )
-            if any(not 0.0 <= t <= 90.0 for t in theta):
-                raise ValueError("prior angles must lie in [0, 90] degrees")
+            angle_vector(theta)
 
     @classmethod
     def from_config(cls, cfg):
         return read_config(cls, cfg, "scenario")
+
+
+def weighting_mode(solver):
+    """The weighting mode of ``solver`` in SOLVER_MODES; the one ValueError for an unknown one."""
+    if solver not in SOLVER_IDS:
+        raise ValueError(f"unknown solver {solver!r}")
+    return SOLVER_MODES[solver]
 
 
 def _require_int(name, value):
@@ -302,32 +308,25 @@ def instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, k
 
 
 def make_operator(kind, n, p, seed):
-    """Seeded sensing operator of one kind, Gaussian or completion."""
-    if kind == COMPLETION:
-        return make_completion(n, p, seed)
-    if kind == GAUSSIAN:
+    """Seeded sensing operator of one kind, Gaussian or completion (``known_kind``)."""
+    if known_kind(kind) == GAUSSIAN:
         return make_gaussian(n, p, seed)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    return make_completion(n, p, seed)
 
 
 def prior_weighting(scenario, solver, prior_u, prior_v, reference_u=None, reference_v=None):
     """The (Qu, Qv) weighting a solver builds from subspace priors; None for admira.
 
     Weight specs are the scenario's explicit ones for the solver, else
-    ``angles_to_weights`` of its prior angles (single mode for rmspi, per
-    direction for grmspi). The references are grmspi's complement references
-    (see ``build_weight_operator``); single-mode weights do not use them.
+    ``angles_to_weights`` of its prior angles in the solver's SOLVER_MODES
+    mode. The references are grmspi's complement references (see
+    ``build_weight_operator``); single-mode weights do not use them.
     """
-    if solver == "admira":
+    mode = weighting_mode(solver)
+    if mode is None:
         return None
-    if solver == "rmspi":
-        mode, spec_u, spec_v = SINGLE, scenario.rmspi_weights_u, scenario.rmspi_weights_v
-    elif solver == "grmspi":
-        mode, spec_u, spec_v = PER_DIRECTION, scenario.grmspi_weights_u, scenario.grmspi_weights_v
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    spec_u = spec_u or angles_to_weights(scenario.theta_u, mode)
-    spec_v = spec_v or angles_to_weights(scenario.theta_v, mode)
+    spec_u = getattr(scenario, f"{solver}_weights_u") or angles_to_weights(scenario.theta_u, mode)
+    spec_v = getattr(scenario, f"{solver}_weights_v") or angles_to_weights(scenario.theta_v, mode)
     return (
         build_weight_operator(prior_u, spec_u, complement_reference=reference_u),
         build_weight_operator(prior_v, spec_v, complement_reference=reference_v),
@@ -617,16 +616,10 @@ def load_scenario(path):
 
 
 def report_to_dict(report):
-    trials = []
-    for row in report.trials:
-        d = asdict(row)
-        d["snr_db"] = _jsonable(d["snr_db"])
-        d["normalized_error"] = _jsonable(d["normalized_error"])
-        trials.append(d)
     return {
         "scenario": asdict(report.scenario),
         "aggregates": [asdict(a) for a in report.aggregates],
-        "trials": trials,
+        "trials": [{k: _jsonable(v) for k, v in asdict(row).items()} for row in report.trials],
     }
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, bench
 from .linalg import single_blas_thread, svd
+from .operators import GAUSSIAN, OPERATOR_KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +48,7 @@ def build_parser():
     rec.add_argument("--solver", default="grmspi", choices=bench.SOLVER_IDS)
     rec.add_argument("--ratio", type=float, default=0.6, help="sampling ratio p/n^2")
     rec.add_argument("--trial", type=int, default=0, help="trial index within the preset stream")
-    rec.add_argument("--kind", default="gaussian", choices=("gaussian", "completion"),
+    rec.add_argument("--kind", default=GAUSSIAN, choices=OPERATOR_KINDS,
                      help="operator kind for --matrix instances")
     rec.add_argument("--seed", type=int, default=0, help="seed for --matrix instances")
     rec.add_argument("--rank", type=int, help="target rank (required with --matrix)")
@@ -72,7 +73,7 @@ def build_parser():
     rip.add_argument("--samples", type=int, default=200)
     rip.add_argument("--seed", type=int, default=1)
     rip.add_argument("--preset", default="close_close", help="scenario supplying priors and weights")
-    rip.add_argument("--kind", default="gaussian", choices=("gaussian", "completion"))
+    rip.add_argument("--kind", default=GAUSSIAN, choices=OPERATOR_KINDS)
     rip.add_argument("--csv", help="write the survey table here as CSV")
     rip.set_defaults(func=_cmd_rip)
 

@@ -119,14 +119,14 @@ def svd(m):
 def principal_angles(b1, b2):
     """Principal angles between two subspaces, in degrees, nondecreasing.
 
-    ``b1`` and ``b2`` are orthonormal bases with the same ambient dimension.
-    The cosines are the singular values of b1.T @ b2 (descending), the sines
-    those of the part of b2 outside span(b1) (ascending), and each angle is
-    arctan2(sine, cosine). arccos alone resolves angles near 0 only to about
-    1e-6 degrees, because 1 - cos(t) ~ t^2 / 2 sinks below rounding there.
+    ``b1`` and ``b2`` are finite 2-d orthonormal bases (``finite_matrix``) in
+    one space. The cosines are the singular values of b1.T @ b2 (descending),
+    the sines those of the part of b2 outside span(b1) (ascending), and each
+    angle is arctan2(sine, cosine). arccos alone resolves angles near 0 only to
+    about 1e-6 degrees, because 1 - cos(t) ~ t^2 / 2 sinks below rounding there.
     """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
+    b1, _ = finite_matrix(b1)
+    b2, _ = finite_matrix(b2)
     if b1.shape[0] != b2.shape[0]:
         raise ValueError(f"ambient dimensions differ: {b1.shape[0]} vs {b2.shape[0]}")
     overlap = b1.T @ b2
@@ -287,6 +287,18 @@ def run_on_spare_core(fn, *args):
     return _slab_pool.submit(fn, *args)
 
 
+def angle_vector(angles, count=None):
+    """``count`` prior angles (one or more if None) as floats in [0, 90] degrees, or ValueError."""
+    angles = np.asarray(angles, dtype=float)
+    if count is None and not angles.size:
+        raise ValueError("need at least one angle")
+    if count is not None and angles.shape != (count,):
+        raise ValueError(f"need {count} angles, got shape {angles.shape}")
+    if not np.all((angles >= 0.0) & (angles <= 90.0)):
+        raise ValueError("prior angles must lie in [0, 90] degrees")
+    return angles
+
+
 def random_orthonormal(n, r, rng):
     """Haar-distributed (n, r) frame with orthonormal columns."""
     if r > n:
@@ -303,16 +315,12 @@ def perturb_subspace(basis, target_angles_deg, rng):
     Column i of the result is cos(t_i) * basis_i + sin(t_i) * q_i with the q_i
     an orthonormal frame inside the complement of ``basis``, so the principal
     angles between the input and output spans are exactly sorted(target_angles).
-    Requires ambient_dim >= 2 * rank to host the complement frame, and a
-    finite 2-d basis (``finite_matrix``).
+    Requires ambient_dim >= 2 * rank to host the complement frame, a finite
+    2-d basis (``finite_matrix``) and one angle per column (``angle_vector``).
     """
     basis, _ = finite_matrix(basis)
     n, r = basis.shape
-    angles = np.asarray(target_angles_deg, dtype=float)
-    if angles.shape != (r,):
-        raise ValueError(f"need {r} angles, got shape {angles.shape}")
-    if not np.all((angles >= 0.0) & (angles <= 90.0)):
-        raise ValueError("target angles must lie in [0, 90] degrees")
+    angles = angle_vector(target_angles_deg, r)
     if n < 2 * r:
         raise ValueError(f"ambient dimension {n} too small to rotate {r} directions")
     frame = _complement_frame(basis, r, np.random.default_rng(rng))

@@ -15,6 +15,14 @@ from .linalg import random_orthonormal
 
 GAUSSIAN = "gaussian"
 COMPLETION = "completion"
+OPERATOR_KINDS = (GAUSSIAN, COMPLETION)
+
+
+def known_kind(kind):
+    """``kind`` if it is one of OPERATOR_KINDS; the one ValueError for any other."""
+    if kind not in OPERATOR_KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return kind
 
 
 @dataclass(eq=False)
@@ -23,10 +31,10 @@ class MeasurementOperator:
 
     ``seed`` records the seed material the operator was built from, when
     known, so reports can persist (kind, n, p, seed) instead of the payload.
-    Construction checks the payload, raising ValueError: Gaussian ``mats``
-    of shape (p, n, n), entries unread, or completion ``indices`` of p
-    distinct integer (row, col) pairs in [0, n), from which the flat index
-    ``row * n + col`` (``flat``) and the n x n 0/1 mask (``mask``) come, once.
+    Construction checks the kind (``known_kind``) and the payload, raising
+    ValueError: Gaussian ``mats`` of shape (p, n, n), entries unread, or
+    completion ``indices`` of p distinct integer (row, col) pairs in [0, n),
+    which give the flat index ``row * n + col`` (``flat``) and the 0/1 mask.
     """
 
     kind: str
@@ -39,10 +47,10 @@ class MeasurementOperator:
     mask: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind == GAUSSIAN:
+        if known_kind(self.kind) == GAUSSIAN:
             if np.shape(self.mats) != (self.p, self.n, self.n):
                 raise ValueError(f"Gaussian sensing needs mats of shape {(self.p, self.n, self.n)}")
-        elif self.kind == COMPLETION:
+        else:
             self.indices = np.asarray(self.indices)
             if self.indices.shape != (self.p, 2) or self.indices.dtype.kind not in "iu":
                 raise ValueError(f"completion needs {self.p} integer index pairs")
@@ -53,8 +61,6 @@ class MeasurementOperator:
             self.mask = self.scatter(1.0)
             if self.mask.sum() < self.p:
                 raise ValueError("completion index pairs must be distinct")
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
 
     def apply(self, x):
         """Measure a matrix: y_i = <x, A_i>_F (Gaussian) or sampled entries."""
@@ -141,20 +147,19 @@ class WeightedOperator:
     qv_inv: np.ndarray = None
 
     def __post_init__(self):
-        for factor in (self.qu_inv, self.qv_inv):
+        for key in ("qu_inv", "qv_inv"):
+            factor = getattr(self, key)
             if factor is not None and np.shape(factor) != (self.n, self.n):
                 raise ValueError(
                     f"weighting factor of shape {np.shape(factor)} does not match "
                     f"the {self.n} x {self.n} operator"
                 )
-        # An exact identity factor is dropped. Multiplying by it keeps every
-        # value but turns -0.0 into +0.0, and the sign of a zero steers the
-        # Householder reflectors of LAPACK's SVD and gelsd, so unit weights
-        # would not reproduce the unweighted loop bit for bit.
-        if self.qu_inv is not None and np.array_equal(self.qu_inv, np.eye(self.n)):
-            self.qu_inv = None
-        if self.qv_inv is not None and np.array_equal(self.qv_inv, np.eye(self.n)):
-            self.qv_inv = None
+            # An exact identity factor is dropped. Multiplying by it keeps every
+            # value but turns -0.0 into +0.0, and the sign of a zero steers the
+            # Householder reflectors of LAPACK's SVD and gelsd, so unit weights
+            # would not reproduce the unweighted loop bit for bit.
+            if factor is not None and np.array_equal(factor, np.eye(self.n)):
+                setattr(self, key, None)
 
     @property
     def p(self):
@@ -212,15 +217,15 @@ def estimate_rip(op, sample_mats):
     """Empirical isometry constant of ``op`` over the matrices ``sample_mats``.
 
     The caller draws the samples (for example with ``random_low_rank``), so
-    one sample set can score several operators.
+    one sample set can score several operators; an all-zero one raises ValueError.
     """
     ratios = []
     for x in sample_mats:
-        y = op.apply(x)
-        ratios.append(float(y @ y) / float(np.sum(x * x)))
+        y, squares = op.apply(x), float(np.sum(x * x))
+        if not squares:
+            raise ValueError("sample matrices must be nonzero")
+        ratios.append(float(y @ y) / squares)
     if not ratios:
         raise ValueError("need at least one sample")
-    ratio_min = min(ratios)
-    ratio_max = max(ratios)
-    delta_hat = max(1.0 - ratio_min, ratio_max - 1.0)
-    return RipEstimate(len(ratios), delta_hat, ratio_min, ratio_max)
+    ratio_min, ratio_max = min(ratios), max(ratios)
+    return RipEstimate(len(ratios), max(1.0 - ratio_min, ratio_max - 1.0), ratio_min, ratio_max)

@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .linalg import finite_matrix
+from .linalg import angle_vector, finite_matrix
 
 SINGLE = "single"
 PER_DIRECTION = "per_direction"
@@ -85,8 +85,7 @@ class WeightSpec:
                     raise ValueError(f"{key} must be a number in single mode, got {value!r}")
                 value = float(value)
             else:
-                rule = f"{key} must be a list of numbers in per-direction mode"
-                value = real_tuple(value, rule)
+                value = real_tuple(value, f"{key} must be a list of numbers in per-direction mode")
             object.__setattr__(self, key, value)
         span, comp = self.span_weights, self.complement_weights
         if self.mode == PER_DIRECTION and (len(span) != len(comp) or not span):
@@ -207,17 +206,8 @@ def angles_to_weights(angles_deg, mode):
     collapses to the mean angle. Explicit presets should be preferred when
     available; this map is only a reasonable default.
     """
-    angles = np.asarray(angles_deg, dtype=float)
-    if angles.size == 0:
-        raise ValueError("need at least one angle")
-    if not np.all((angles >= 0.0) & (angles <= 90.0)):
-        raise ValueError("angles must lie in [0, 90] degrees")
+    angles = angle_vector(angles_deg)
     if mode == SINGLE:
         mean = float(np.mean(angles))
-        return WeightSpec.single(float(angle_weight(mean)), float(angle_weight(90.0 - mean)))
-    if mode == PER_DIRECTION:
-        return WeightSpec.per_direction(
-            tuple(angle_weight(angles).tolist()),
-            tuple(angle_weight(90.0 - angles).tolist()),
-        )
-    raise ValueError(f"unknown weighting mode {mode!r}")
+        return WeightSpec(mode, angle_weight(mean), angle_weight(90.0 - mean))
+    return WeightSpec(mode, angle_weight(angles).tolist(), angle_weight(90.0 - angles).tolist())

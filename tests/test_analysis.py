@@ -81,3 +81,10 @@ def test_snr_scale_invariance_and_errors():
     assert abs(snr_db(truth, est) - snr_db(3.0 * truth, 3.0 * est)) <= 1e-10
     with pytest.raises(ValueError):
         snr_db(np.zeros((3, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize("estimate_shape", [(3,), (3, 1), (1, 3), (3, 3, 1), (4, 4)])
+def test_snr_rejects_an_estimate_of_another_shape(estimate_shape):
+    # A (3,) estimate broadcast against a (3, 3) truth and read 0.0 dB.
+    with pytest.raises(ValueError, match=r"^truth has shape \(3, 3\) but the estimate"):
+        snr_db(np.eye(3), np.ones(estimate_shape))

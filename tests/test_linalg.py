@@ -95,6 +95,8 @@ MATRIX_KERNELS = {
     "orthonormalize": orthonormalize,
     "identify_support": lambda m: identify_support(m, 2),
     "perturb_subspace": lambda m: perturb_subspace(m, [1.0], np.random.default_rng(0)),
+    "principal_angles (first)": lambda m: principal_angles(m, np.eye(4)),
+    "principal_angles (second)": lambda m: principal_angles(np.eye(4), m),
 }
 
 
@@ -194,6 +196,17 @@ def test_principal_angles_symmetric_and_against_scipy():
 def test_principal_angles_dimension_mismatch():
     with pytest.raises(ValueError):
         principal_angles(np.eye(3), np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_principal_angles_rejects_a_non_finite_basis(bad):
+    # Both bases pass linalg.finite_matrix; a NaN one made the SVD fail to converge.
+    b = random_orthonormal(6, 2, np.random.default_rng(4))
+    broken = b.copy()
+    broken[1, 0] = bad
+    for args in ((broken, b), (b, broken)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            principal_angles(*args)
 
 
 def test_perturb_subspace_zero_angles():

@@ -244,6 +244,13 @@ def test_estimate_rip_deterministic():
         estimate_rip(op, [])
 
 
+def test_estimate_rip_rejects_an_all_zero_sample():
+    # A zero sample has no isometry ratio; it raised a bare ZeroDivisionError.
+    op = make_gaussian(4, 8, 0)
+    with pytest.raises(ValueError, match="^sample matrices must be nonzero$"):
+        estimate_rip(op, [np.ones((4, 4)), np.zeros((4, 4))])
+
+
 def _fig1_weighting(rng):
     truth_u = random_orthonormal(30, 3, rng)
     truth_v = random_orthonormal(30, 3, rng)
