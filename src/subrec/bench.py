@@ -133,7 +133,12 @@ class Scenario:
         modes = [weighting_mode(solver) for solver in self.solvers]
         for key in WEIGHT_FIELDS:
             spec = getattr(self, key)
-            if spec is not None and spec.rank not in (None, self.rank):
+            if spec is None:
+                continue
+            mode = SOLVER_MODES[key.split("_weights_")[0]]
+            if spec.mode != mode:
+                raise ValueError(f"{key} must be a {mode} weight spec, got {spec.mode}")
+            if spec.rank not in (None, self.rank):
                 raise ValueError(
                     f"{key} carries {spec.rank} per-direction weights for rank {self.rank}"
                 )
@@ -461,9 +466,9 @@ def run_grid(scenario, threads=1):
     on an idle core while the current cell's trials run (see
     ``_run_serially``); the draw is seeded by its cell, so the rows stay the
     same bit for bit. The pool pays only where a solve spends most of its
-    time in BLAS and LAPACK, which release the GIL, as small Gaussian solves
-    do; a completion solve is mostly interpreter work, and its grid runs
-    slower pooled than serial.
+    time in numpy's BLAS and LAPACK, which release the GIL, as small Gaussian
+    solves do; a completion solve is mostly interpreter work, and its grid
+    runs slower pooled than serial.
     """
     threads = resolve_threads(threads)
 
@@ -604,12 +609,6 @@ def _jsonable(value):
     return value
 
 
-def save_scenario(scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(scenario), fh, indent=2)
-        fh.write("\n")
-
-
 def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         return Scenario.from_config(json.load(fh))
@@ -648,16 +647,8 @@ def write_report_csv(report, path):
             fh.write(",".join(cells) + "\n")
 
 
-def write_matrix_csv(matrix, path):
-    """Matrix file format: header line "rows,cols", then one CSV line per row."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]},{matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_matrix_csv(path):
+    """Matrix file format: header line "rows,cols", then one CSV line per row."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:

@@ -6,12 +6,13 @@ roughly 1e-10, and consumers may rely on it.
 
 Some LAPACK routines are called through scipy's f2py wrappers (see
 ``_load_flapack``) rather than ``numpy.linalg``: on the loop's small inputs
-numpy's wrapper costs more than the routine. Those wrappers hold the GIL while
-LAPACK runs and ``numpy.linalg`` releases it, so a kernel large enough to
-matter to the other threads of a trial pool stays on numpy. That is why the
-solver's support step takes ``np.linalg.eigh`` of the n x n Gram matrix: on a
-2-vCPU AMD EPYC VM, the 30 x 30 support SVD through f2py cost a two-thread
-trial pool about 5 % of its throughput.
+numpy's wrapper costs more than the routine. The ``gesdd``, ``potrf`` and
+``potrs`` wrappers hold the GIL while LAPACK runs; ``geqp3`` and ``orgqr``
+release it, as ``numpy.linalg`` does. So a kernel large enough to matter to
+the other threads of a trial pool stays on numpy. That is why the solver's
+support step takes ``np.linalg.eigh`` of the n x n Gram matrix: on a 2-vCPU
+AMD EPYC VM, the 30 x 30 support SVD through f2py cost a two-thread trial
+pool about 5 % of its throughput.
 """
 
 import ctypes
@@ -288,12 +289,13 @@ def run_on_spare_core(fn, *args):
 
 
 def angle_vector(angles, count=None):
-    """``count`` prior angles (one or more if None) as floats in [0, 90] degrees, or ValueError."""
+    """A vector of ``count`` prior angles (one or more if None) in [0, 90] degrees, or ValueError."""
     angles = np.asarray(angles, dtype=float)
-    if count is None and not angles.size:
+    if angles.ndim != 1 or count not in (None, angles.size):
+        want = "a vector of" if count is None else count
+        raise ValueError(f"need {want} angles, got shape {angles.shape}")
+    if not angles.size:
         raise ValueError("need at least one angle")
-    if count is not None and angles.shape != (count,):
-        raise ValueError(f"need {count} angles, got shape {angles.shape}")
     if not np.all((angles >= 0.0) & (angles <= 90.0)):
         raise ValueError("prior angles must lie in [0, 90] degrees")
     return angles

@@ -17,6 +17,12 @@ from subrec.solver import SolverConfig, solve
 from subrec.weighting import PER_DIRECTION, SINGLE, angles_to_weights, build_weight_operator
 
 
+def write_matrix_csv(matrix, path):
+    """The `recover --matrix` file: a "rows,cols" header, then one CSV line per row."""
+    rows, cols = matrix.shape
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=f"{rows},{cols}", comments="")
+
+
 def test_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -318,7 +324,7 @@ def test_recover_from_matrix_file(tmp_path, capsys):
     truth = np.outer(rng.standard_normal(12), rng.standard_normal(12))
     truth += np.outer(rng.standard_normal(12), rng.standard_normal(12))
     path = tmp_path / "matrix.csv"
-    bench.write_matrix_csv(truth, path)
+    write_matrix_csv(truth, path)
     code = main(
         ["recover", "--matrix", str(path), "--rank", "2", "--ratio", "0.9", "--solver", "rmspi"]
     )
@@ -330,12 +336,12 @@ def test_recover_from_matrix_file(tmp_path, capsys):
 def test_recover_matrix_errors(tmp_path, capsys):
     rng = np.random.default_rng(1)
     path = tmp_path / "matrix.csv"
-    bench.write_matrix_csv(rng.standard_normal((6, 6)), path)
+    write_matrix_csv(rng.standard_normal((6, 6)), path)
     assert main(["recover", "--matrix", str(path)]) == 1  # missing --rank
     assert main(["recover", "--matrix", str(tmp_path / "none.csv"), "--rank", "1"]) == 1
     capsys.readouterr()
     rect = tmp_path / "rect.csv"
-    bench.write_matrix_csv(rng.standard_normal((4, 6)), rect)
+    write_matrix_csv(rng.standard_normal((4, 6)), rect)
     for args, message in (
         ([str(rect), "--rank", "1"], "recover expects a square matrix"),
         ([str(path), "--rank", "0"], "rank must lie in [1, 3] to build priors"),
@@ -359,7 +365,7 @@ def test_recover_matrix_non_finite_entry(tmp_path, capsys, bad):
     matrix = np.random.default_rng(2).standard_normal((6, 6))
     matrix[2, 3] = bad
     path = tmp_path / "matrix.csv"
-    bench.write_matrix_csv(matrix, path)
+    write_matrix_csv(matrix, path)
     assert main(["recover", "--matrix", str(path), "--rank", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("subrec recover: ") and "NaN or Inf" in err
@@ -367,7 +373,7 @@ def test_recover_matrix_non_finite_entry(tmp_path, capsys, bad):
 
 def test_recover_matrix_all_zeros_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
     path = tmp_path / "zeros.csv"
-    bench.write_matrix_csv(np.zeros((4, 4)), path)
+    write_matrix_csv(np.zeros((4, 4)), path)
 
     def no_trial(*args):
         raise AssertionError("a trial ran on an all-zero matrix")
@@ -459,7 +465,7 @@ def test_recover_matrix_matches_recipe(tmp_path, capsys, kind, solver):
     rng = np.random.default_rng(5)
     matrix = rng.standard_normal((14, 2)) @ rng.standard_normal((2, 14))
     path = tmp_path / "matrix.csv"
-    bench.write_matrix_csv(matrix, path)
+    write_matrix_csv(matrix, path)
     code = main(["recover", "--matrix", str(path), "--rank", "2", "--kind", kind, "--ratio", "0.7",
                  "--seed", "4", "--solver", solver, "--theta-u", "3,6", "--theta-v", "4,8"])
     assert code == 0

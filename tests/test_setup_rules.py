@@ -1,9 +1,9 @@
 """Each rule that builds a trial has one implementation.
 
-The prior-angle range and count, the solver table, the weighting modes and
-the operator kinds are each checked in one place, so every path that applies
-a rule raises that place's message: the library function, the Scenario, and
-``subrec bench FILE``.
+The prior-angle range, count and shape, the solver table and the mode of
+each solver's weight spec, the weighting modes and the operator kinds are
+each checked in one place, so every path that applies a rule raises that
+place's message: the library function, the Scenario, and ``subrec bench FILE``.
 """
 
 import argparse
@@ -92,6 +92,44 @@ def test_angle_vector_keeps_the_bounds_and_the_values():
         assert _message(angle_vector, [bad]) == RANGE
 
 
+@pytest.mark.parametrize("bad", [None, 5.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["none", "scalar", "2d"])
+def test_prior_angles_without_a_count_must_be_a_vector(tmp_path, capsys, bad):
+    # angle_vector owns the shape; the Scenario reads its angle fields as
+    # lists of numbers first, so there the field's own rule speaks.
+    shape = np.shape(np.asarray(bad, dtype=float))
+    for mode in (SINGLE, PER_DIRECTION):
+        assert _message(angles_to_weights, bad, mode) == f"need a vector of angles, got shape {shape}"
+    basis = random_orthonormal(10, 2, np.random.default_rng(0))
+    assert _message(perturb_subspace, basis, bad, 0) == f"need 2 angles, got shape {shape}"
+    if bad is None:
+        # A null theta_v beside a set theta_u breaks the both-or-null rule.
+        assert _message(Scenario, theta_v=bad) == BOTH_OR_NULL
+        assert _bench_file_message(tmp_path, capsys, theta_v=bad) == BOTH_OR_NULL
+        return
+    want = f"theta_v must be a list of numbers, got {bad!r}"
+    assert _message(Scenario, theta_v=bad) == want
+    assert _bench_file_message(tmp_path, capsys, theta_v=bad) == want
+
+
+@pytest.mark.parametrize(
+    "key, spec, want",
+    [
+        ("rmspi_weights_u", WeightSpec.per_direction((0.17, 0.19, 0.21), (0.99, 0.98, 0.97)),
+         "rmspi_weights_u must be a single weight spec, got per_direction"),
+        ("grmspi_weights_v", WeightSpec.single(0.18, 0.999),
+         "grmspi_weights_v must be a per_direction weight spec, got single"),
+    ],
+    ids=["rmspi", "grmspi"],
+)
+def test_weight_spec_must_match_its_solver_mode(tmp_path, capsys, key, spec, want):
+    preset = bench.builtin_presets()["close_close"]
+    cfg = dict(dataclasses.asdict(preset), **{key: dataclasses.asdict(spec)})
+    assert _message(Scenario, **{key: spec}) == want
+    assert _message(dataclasses.replace, preset, **{key: spec}) == want
+    assert _message(Scenario.from_config, cfg) == want
+    assert _bench_file_message(tmp_path, capsys, **{key: dataclasses.asdict(spec)}) == want
+
+
 def test_unknown_solver_has_one_message():
     preset = bench.builtin_presets()["close_close"]
     want = "unknown solver 'sdp'"
@@ -162,7 +200,7 @@ def test_cli_choices_read_the_tables():
 @pytest.mark.parametrize(
     "message",
     ["must lie in [0, 90] degrees", "unknown solver", "unknown weighting mode",
-     "unknown operator kind"],
+     "unknown operator kind", "weight spec, got", "angles, got shape"],
 )
 def test_each_setup_rule_is_written_once(message):
     sites = [
