@@ -7,6 +7,7 @@ reports are reproducible bit for bit and independent of execution order or
 thread count.
 """
 
+import itertools
 import json
 import math
 import statistics
@@ -28,7 +29,7 @@ from .operators import (
     make_gaussian,
     random_low_rank,
 )
-from .solver import SolverConfig, solve
+from .solver import MAX_ITERATIONS, SolverConfig, iterate
 from .weighting import (
     PER_DIRECTION,
     SINGLE,
@@ -38,6 +39,7 @@ from .weighting import (
     is_real,
     read_config,
     real_tuple,
+    require_int,
 )
 
 # Success criterion: normalized error <= 1e-2 within solver.MAX_ITERATIONS iterations.
@@ -83,7 +85,7 @@ class Scenario:
 
     def __post_init__(self):
         for key in ("n", "rank", "trials", "master_seed"):
-            object.__setattr__(self, key, _require_int(key, getattr(self, key)))
+            object.__setattr__(self, key, require_int(key, getattr(self, key)))
         for key in ("sampling_ratios", "theta_u", "theta_v"):
             values = getattr(self, key)
             if key == "sampling_ratios" or values is not None:
@@ -164,13 +166,6 @@ def weighting_mode(solver):
     if solver not in SOLVER_IDS:
         raise ValueError(f"unknown solver {solver!r}")
     return SOLVER_MODES[solver]
-
-
-def _require_int(name, value):
-    """``value`` as an int; ValueError unless it is an integer (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def builtin_presets():
@@ -375,11 +370,29 @@ def _operator_echo(operator):
     }
 
 
+def solve(instance, config):
+    """Run ``solver.iterate`` as ``solver.solve`` does, scoring each iterate against the truth.
+
+    Returns the last estimate, the iteration count, the stop reason and the
+    first iteration whose error is at most SUCCESS_ERROR (None without one),
+    the success criterion; errors are taken only until that iteration.
+    """
+    truth = instance.truth
+    truth_norm = np.linalg.norm(truth)
+    first_success = None
+    steps = itertools.islice(iterate(instance.operator, instance.y, config), MAX_ITERATIONS)
+    for iterations, (record, estimate) in enumerate(steps, start=1):
+        if first_success is None and np.linalg.norm(truth - estimate) / truth_norm <= SUCCESS_ERROR:
+            first_success = iterations
+    return estimate, iterations, record.stop or "max_iter", first_success
+
+
 def run_trial(instance, solver, scenario):
     """Run one solver on one instance and score it against the ground truth.
 
     Solver exceptions are recorded as failed trials with a diagnostic string;
-    they never propagate, so a grid cannot abort half way.
+    they never propagate, so a grid cannot abort half way. The reported error
+    and SNR describe the solver's own stop point.
     """
     config = solver_config(scenario, instance, solver)
     common = {
@@ -390,7 +403,7 @@ def run_trial(instance, solver, scenario):
     }
     start = time.perf_counter()
     try:
-        run = solve(instance.operator, instance.y, config)
+        estimate, iterations, stop_reason, iterations_to_success = solve(instance, config)
     except Exception as exc:  # noqa: BLE001 - any solver failure becomes a failed trial
         return TrialResult(
             **common,
@@ -403,25 +416,16 @@ def run_trial(instance, solver, scenario):
             diagnostic=f"{type(exc).__name__}: {exc}",
         )
     wall = time.perf_counter() - start
-    truth_norm = np.linalg.norm(instance.truth)
-    normalized_error = float(np.linalg.norm(instance.truth - run.estimate) / truth_norm)
-    # Success means the error criterion was achieved at any iteration within
-    # the cap (the reference protocol stops as soon as it happens), while the
-    # reported error and SNR describe the solver's own stop point.
-    iterations_to_success = None
-    for k, est in enumerate(run.estimates, start=1):
-        if np.linalg.norm(instance.truth - est) / truth_norm <= SUCCESS_ERROR:
-            iterations_to_success = k
-            break
+    error = np.linalg.norm(instance.truth - estimate) / np.linalg.norm(instance.truth)
     return TrialResult(
         **common,
         success=iterations_to_success is not None,
         iterations_to_success=iterations_to_success,
-        snr_db=analysis.snr_db(instance.truth, run.estimate),
+        snr_db=analysis.snr_db(instance.truth, estimate),
         wall_time=wall,
-        normalized_error=normalized_error,
-        stop_reason=run.stop_reason,
-        iterations_run=run.iterations,
+        normalized_error=float(error),
+        stop_reason=stop_reason,
+        iterations_run=iterations,
     )
 
 
@@ -444,7 +448,7 @@ class Report:
 
 def resolve_threads(threads):
     """The trial pool size as an int; ValueError unless it is an integer of at least 1."""
-    threads = _require_int("threads", threads)
+    threads = require_int("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     return threads

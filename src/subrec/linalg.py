@@ -2,7 +2,8 @@
 
 Matrices are plain float ndarrays. A "subspace basis" is an (n, r) ndarray with
 orthonormal columns; functions that construct one guarantee orthonormality to
-roughly 1e-10, and consumers may rely on it.
+roughly 1e-10, and functions that take one check it to 1e-8
+(``orthonormal_basis``).
 
 Some LAPACK routines are called through scipy's f2py wrappers (see
 ``_load_flapack``) rather than ``numpy.linalg``: on the loop's small inputs
@@ -91,6 +92,14 @@ def finite_matrix(m):
     return m, squares
 
 
+def orthonormal_basis(basis):
+    """``finite_matrix`` of a basis; ValueError unless ||B^T B - I|| <= 1e-8."""
+    basis, _ = finite_matrix(basis)
+    if np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) > 1e-8:
+        raise ValueError("basis columns are not orthonormal")
+    return basis
+
+
 def lapack_info(routine, info):
     """``info`` of a LAPACK call; ValueError if negative (an illegal argument)."""
     if info < 0:
@@ -120,14 +129,14 @@ def svd(m):
 def principal_angles(b1, b2):
     """Principal angles between two subspaces, in degrees, nondecreasing.
 
-    ``b1`` and ``b2`` are finite 2-d orthonormal bases (``finite_matrix``) in
-    one space. The cosines are the singular values of b1.T @ b2 (descending),
+    ``b1`` and ``b2`` are orthonormal bases (``orthonormal_basis``) of one
+    space. The cosines are the singular values of b1.T @ b2 (descending),
     the sines those of the part of b2 outside span(b1) (ascending), and each
     angle is arctan2(sine, cosine). arccos alone resolves angles near 0 only to
     about 1e-6 degrees, because 1 - cos(t) ~ t^2 / 2 sinks below rounding there.
     """
-    b1, _ = finite_matrix(b1)
-    b2, _ = finite_matrix(b2)
+    b1 = orthonormal_basis(b1)
+    b2 = orthonormal_basis(b2)
     if b1.shape[0] != b2.shape[0]:
         raise ValueError(f"ambient dimensions differ: {b1.shape[0]} vs {b2.shape[0]}")
     overlap = b1.T @ b2
@@ -317,10 +326,11 @@ def perturb_subspace(basis, target_angles_deg, rng):
     Column i of the result is cos(t_i) * basis_i + sin(t_i) * q_i with the q_i
     an orthonormal frame inside the complement of ``basis``, so the principal
     angles between the input and output spans are exactly sorted(target_angles).
-    Requires ambient_dim >= 2 * rank to host the complement frame, a finite
-    2-d basis (``finite_matrix``) and one angle per column (``angle_vector``).
+    Requires ambient_dim >= 2 * rank to host the complement frame, an
+    orthonormal basis (``orthonormal_basis``) and one angle per column
+    (``angle_vector``).
     """
-    basis, _ = finite_matrix(basis)
+    basis = orthonormal_basis(basis)
     n, r = basis.shape
     angles = angle_vector(target_angles_deg, r)
     if n < 2 * r:

@@ -20,11 +20,16 @@ y - A(Qu^-1 U M_r V^T Qv^-1) by the definition of D, so no pass over the
 sensing payload follows the solve. The design is released before the next
 iteration.
 
+``iterate`` is the only copy of the loop, a generator of each iteration's
+record and de-weighted estimate. Its consumers, ``solve`` and the harness's
+``bench.solve``, bring the iteration budget, and neither keeps the iterates.
+
 Under ``linalg.single_blas_thread`` the two passes of an iteration over a large
 Gaussian sensing tensor, the adjoint and the design assembly, split into slabs
 on the idle cores (``linalg.slab_bounds``) with the same bits as one pass.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,11 +38,12 @@ import numpy as np
 from . import linalg
 from .linalg import dpotrf, dpotrs
 from .operators import COMPLETION, WeightedOperator
+from .weighting import require_int
 
-# The stop rule: at most MAX_ITERATIONS iterations (a benchmark trial's budget
-# to succeed in), or a residual at most RESIDUAL_TOLERANCE * ||y||, or
+# The stop rule: a residual at most RESIDUAL_TOLERANCE * ||y||, or
 # STAGNATION_RUN flat iterations in a row, each decreasing the residual by
-# less than STAGNATION_DECREASE relative.
+# less than STAGNATION_DECREASE relative; ``solve`` and a benchmark trial
+# also stop after MAX_ITERATIONS iterations (a trial's budget to succeed in).
 MAX_ITERATIONS = 20
 RESIDUAL_TOLERANCE = 1e-6
 STAGNATION_DECREASE = 1e-10
@@ -111,31 +117,29 @@ class SolverConfig:
     weighting: object = None
 
     def __post_init__(self):
+        self.rank = require_int("rank", self.rank)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration: its residual norm, support dimensions and stop rule met (or None)."""
+
     residual_norm: float
     merged_dims: tuple
     support_dims: tuple
+    stop: str
 
 
 @dataclass(eq=False)
 class SolverRun:
-    """Outcome of a solve: final de-weighted estimate plus the iteration trace.
-
-    ``estimates`` holds the de-weighted estimate of every iteration, so
-    ``estimates[-1]`` is ``estimate``; a solve keeps up to
-    ``MAX_ITERATIONS`` n x n arrays.
-    """
+    """Outcome of a solve: final de-weighted estimate plus the iteration trace."""
 
     estimate: np.ndarray
     iterations: int
     trace: list
     stop_reason: str
-    estimates: list
 
 
 def identify_support(proxy, k):
@@ -313,29 +317,20 @@ def _cholesky_solve(gram, rhs):
     return coef
 
 
-def solve(operator, y, config):
-    """Run the greedy recovery loop.
+def iterate(operator, y, config):
+    """The greedy recovery loop, yielding (IterationRecord, estimate) per iteration.
 
-    Parameters
-    ----------
-    operator : MeasurementOperator
-        The raw (unweighted) measurement map.
-    y : array of shape (p,)
-        Measurements of the target matrix; finite, with the ValueError of
-        ``MeasurementOperator.measurements`` otherwise.
-    config : SolverConfig
-
-    Returns
-    -------
-    SolverRun with the de-weighted estimate (rank <= config.rank), iteration
-    count, per-iteration trace and estimates, and the stop reason:
-    'tolerance' when the relative measurement residual falls to
-    RESIDUAL_TOLERANCE, 'stagnation' after STAGNATION_RUN flat iterations,
-    else 'max_iter' after MAX_ITERATIONS.
+    ``operator`` is the raw (unweighted) MeasurementOperator and ``y`` its
+    measurements of the target, a finite vector of shape (p,), with the
+    ValueError of ``MeasurementOperator.measurements`` otherwise, checked when
+    the first iteration is taken. Each estimate is de-weighted and of rank at
+    most config.rank. A record's ``stop`` is 'tolerance' when the relative
+    residual falls to RESIDUAL_TOLERANCE, 'stagnation' after STAGNATION_RUN
+    flat iterations, else None; the generator ends after a stop. It has no
+    iteration cap: each consumer brings its own budget.
     """
     y = operator.measurements(y)
-    n = operator.n
-    r = config.rank
+    n, r = operator.n, config.rank
     if r > n:
         raise ValueError(f"rank {r} exceeds matrix dimension {n}")
 
@@ -344,15 +339,11 @@ def solve(operator, y, config):
     wop = WeightedOperator(operator, qu_inv, qv_inv)
 
     support = Support.empty(n)
-    y_norm = math.sqrt(y.dot(y))
+    tolerance = RESIDUAL_TOLERANCE * math.sqrt(y.dot(y))
     residual = y.copy()
-    trace = []
-    estimates = []
-    stop_reason = "max_iter"
-    prev_norm = None
-    flat_run = 0
+    prev_norm, flat_run, stop = None, 0, None
 
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    while stop is None:
         merged = merge_support(identify_support(wop.adjoint(residual), 2 * r), support)
         if merged.is_empty():
             coef = np.zeros((0, 0))
@@ -372,19 +363,23 @@ def solve(operator, y, config):
         # that raises peak memory).
         estimate = None
         res_norm = math.sqrt(residual.dot(residual))
-        trace.append(IterationRecord(res_norm, merged.dims, support.dims))
-        estimates.append(x_rec)
-        if res_norm <= RESIDUAL_TOLERANCE * y_norm:
-            stop_reason = "tolerance"
-            break
-        if prev_norm is not None:
-            if prev_norm - res_norm < STAGNATION_DECREASE * prev_norm:
-                flat_run += 1
-            else:
-                flat_run = 0
+        if res_norm <= tolerance:
+            stop = "tolerance"
+        elif prev_norm is not None:
+            flat_run = flat_run + 1 if prev_norm - res_norm < STAGNATION_DECREASE * prev_norm else 0
             if flat_run >= STAGNATION_RUN:
-                stop_reason = "stagnation"
-                break
+                stop = "stagnation"
         prev_norm = res_norm
+        yield IterationRecord(res_norm, merged.dims, support.dims, stop), x_rec
 
-    return SolverRun(x_rec, iterations, trace, stop_reason, estimates)
+
+def solve(operator, y, config):
+    """Run ``iterate`` to its stop or MAX_ITERATIONS iterations.
+
+    The SolverRun holds the last estimate, the records and the stop reason:
+    the last record's ``stop``, else 'max_iter'.
+    """
+    trace = []
+    for record, estimate in itertools.islice(iterate(operator, y, config), MAX_ITERATIONS):
+        trace.append(record)
+    return SolverRun(estimate, len(trace), trace, record.stop or "max_iter")

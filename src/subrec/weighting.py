@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .linalg import angle_vector, finite_matrix
+from .linalg import angle_vector, finite_matrix, orthonormal_basis
 
 SINGLE = "single"
 PER_DIRECTION = "per_direction"
@@ -32,6 +32,13 @@ PER_DIRECTION = "per_direction"
 def is_real(value):
     """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def require_int(name, value):
+    """``value`` as an int; ValueError unless it is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def real_tuple(values, rule):
@@ -129,8 +136,9 @@ class WeightOperator:
 def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     """Assemble Q and Q^-1 for a prior basis and a weight specification.
 
-    Both modes take the module's one formula; a prior or reference that is
-    not a finite 2-d array raises ValueError (``linalg.finite_matrix``).
+    Both modes take the module's one formula. A prior that is not an
+    orthonormal basis (``linalg.orthonormal_basis``) or a reference that is
+    not a finite 2-d array (``linalg.finite_matrix``) raises ValueError.
 
     In per-direction mode the r weighted complement directions are the ones
     most aligned with ``complement_reference`` (normally the ground-truth
@@ -138,10 +146,8 @@ def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     angles get the weights, ordered to match them). Without a reference the
     directions are drawn at random from the complement, which requires ``rng``.
     """
-    prior, _ = finite_matrix(prior)
+    prior = orthonormal_basis(prior)
     n, r = prior.shape
-    if np.linalg.norm(prior.T @ prior - np.eye(r)) > 1e-8:
-        raise ValueError("prior basis columns are not orthonormal")
 
     dirs = None
     if spec.mode == SINGLE:

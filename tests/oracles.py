@@ -1,11 +1,27 @@
 """Reference implementations the tests check the library against."""
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
 
+from subrec import solver
 from subrec.solver import least_squares_on_support
+
+
+def solve_and_iterates(operator, y, config):
+    """``solver.solve``'s run and the de-weighted iterates it went through.
+
+    The iterates come from draining ``solver.iterate`` with solve's budget,
+    MAX_ITERATIONS read at call time; that drain's records must be the run's
+    trace and its last iterate the run's estimate, bit for bit.
+    """
+    run = solver.solve(operator, y, config)
+    steps = list(islice(solver.iterate(operator, y, config), solver.MAX_ITERATIONS))
+    assert [record for record, _ in steps] == run.trace
+    assert np.array_equal(steps[-1][1], run.estimate)
+    return run, [estimate for _, estimate in steps]
 
 
 def truncate_rank(m, r):

@@ -4,11 +4,14 @@ import json
 import math
 import threading
 import time
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import solve_and_iterates
 
 from subrec import bench, linalg
 from subrec.bench import (
@@ -25,8 +28,9 @@ from subrec.bench import (
     write_report_csv,
     write_report_json,
 )
-from subrec.linalg import principal_angles
+from subrec.linalg import principal_angles, single_blas_thread
 from subrec.operators import COMPLETION
+from subrec.solver import MAX_ITERATIONS, iterate
 from subrec.weighting import (
     PER_DIRECTION,
     SINGLE,
@@ -222,6 +226,54 @@ def test_run_trial_deterministic():
         b.normalized_error,
         b.snr_db,
     )
+
+
+@pytest.mark.parametrize("preset", ["close_close", "close_close_completion"])
+def test_the_iteration_budget_lives_in_the_consumer(preset):
+    # solver.iterate has no cap, so a longer budget is a longer drain: no stop
+    # rule reads the budget, so the first MAX_ITERATIONS iterations of a
+    # 100-iteration drain are solve's bit for bit, and scoring them at that
+    # budget gives the grid's rows.
+    scenario = dataclasses.replace(builtin_presets()[preset], trials=1)
+    rows = {(row.solver, row.ratio): row for row in run_grid(scenario).trials}
+    longer = 0
+    for ratio in scenario.sampling_ratios:
+        instance = generate_instance(scenario, ratio, 0)
+        truth = instance.truth
+        for solver in scenario.solvers:
+            config = bench.solver_config(scenario, instance, solver)
+            with single_blas_thread():
+                run, iterates = solve_and_iterates(instance.operator, instance.y, config)
+                drain = list(islice(iterate(instance.operator, instance.y, config), 100))
+            longer += len(drain) > MAX_ITERATIONS
+            head = drain[:MAX_ITERATIONS]
+            assert [record for record, _ in head] == run.trace
+            assert len(head) == len(iterates)
+            assert all(np.array_equal(x, want) for (_, x), want in zip(head, iterates))
+            errors = [np.linalg.norm(truth - x) / np.linalg.norm(truth) for _, x in head]
+            first = next((k for k, e in enumerate(errors, 1) if e <= bench.SUCCESS_ERROR), None)
+            row = rows[(solver, ratio)]
+            assert (row.success, row.iterations_to_success) == (first is not None, first)
+    # Some solve of each preset runs past the budget when the drain allows it.
+    assert longer > 0
+
+
+def test_run_trial_keeps_no_iterate_history():
+    # A trial scores each iterate as it arrives, so its peak holds a few
+    # n x n arrays however many iterations run; keeping every iterate (80 KB
+    # each at n = 100) held one more per iteration, 1.9 MB over this cell's
+    # 20 on a probe.
+    scenario = dataclasses.replace(builtin_presets()["close_close_completion"], n=100)
+    instance = generate_instance(scenario, 0.2, 0)
+    run_trial(instance, "admira", scenario)
+    tracemalloc.start()
+    try:
+        row = run_trial(instance, "admira", scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.iterations_run >= 15
+    assert peak < 10 * instance.truth.nbytes
 
 
 def test_run_grid_single_cell():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import solve_and_iterates
 
 from subrec.bench import (
     SOLVER_IDS,
@@ -46,17 +47,17 @@ EQUIVARIANCE_TOL = 1e-9
 
 
 def _solve_cell(family, kind, solver, noise, ratio, seed):
-    """A preset cell's scenario and instance, the solver's config and its solve."""
+    """A preset cell's scenario and instance, the solver's config, its solve and iterates."""
     scenario = replace(PRESETS[family], operator_kind=kind, noise_level=noise, master_seed=seed)
     instance = generate_instance(scenario, ratio, 0)
     config = solver_config(scenario, instance, solver)
-    return scenario, instance, config, solve(instance.operator, instance.y, config)
+    return scenario, instance, config, *solve_and_iterates(instance.operator, instance.y, config)
 
 
-def _assume_contracting(instance, run):
+def _assume_contracting(instance, iterates):
     """Skip a solve unless its error falls at every iteration to at most SUCCESS_ERROR."""
     truth = instance.truth
-    errors = [np.linalg.norm(est - truth) for est in run.estimates]
+    errors = [np.linalg.norm(est - truth) for est in iterates]
     assume(all(b < a for a, b in zip(errors, errors[1:])))
     assume(errors[-1] <= SUCCESS_ERROR * np.linalg.norm(truth))
 
@@ -85,17 +86,17 @@ def test_power_of_two_scaling_keeps_every_bit(family, kind, solver, noise, ratio
     # of overflow and underflow, and its stop and selection rules are relative.
     # So y -> 2^k y scales every iterate by exactly 2^k and, for Gaussian
     # sensing, A_i -> 2^k A_i with it leaves every iterate's bits as they were.
-    _, instance, config, run = _solve_cell(family, kind, solver, noise, ratio, seed)
+    _, instance, config, run, iterates = _solve_cell(family, kind, solver, noise, ratio, seed)
     op, y, c = instance.operator, instance.y, 2.0**k
-    scaled_y = solve(op, c * y, config)
+    scaled_y, scaled_iterates = solve_and_iterates(op, c * y, config)
     _assert_same_course(run, scaled_y)
-    for est, scaled in zip(run.estimates, scaled_y.estimates, strict=True):
+    for est, scaled in zip(iterates, scaled_iterates, strict=True):
         assert np.array_equal(scaled, c * est)
     if kind == GAUSSIAN:
         scaled_op = MeasurementOperator(GAUSSIAN, op.n, op.p, mats=c * op.mats)
-        both = solve(scaled_op, c * y, config)
+        both, both_iterates = solve_and_iterates(scaled_op, c * y, config)
         _assert_same_course(run, both)
-        for est, scaled in zip(run.estimates, both.estimates, strict=True):
+        for est, scaled in zip(iterates, both_iterates, strict=True):
             assert np.array_equal(scaled, est)
 
 
@@ -111,8 +112,8 @@ def test_transposed_problem_gives_the_transposed_estimate(family, kind, solver, 
     # <X^T, A_i^T> = <X, A_i>, and swapping a completion cell's row and column
     # samples X^T where it sampled X, so with the weighting sides swapped the
     # problem's solution is the transpose.
-    _, instance, config, run = _solve_cell(family, kind, solver, 0.0, ratio, seed)
-    _assume_contracting(instance, run)
+    _, instance, config, run, iterates = _solve_cell(family, kind, solver, 0.0, ratio, seed)
+    _assume_contracting(instance, iterates)
     op = instance.operator
     if kind == GAUSSIAN:
         mats_t = np.ascontiguousarray(op.mats.transpose(0, 2, 1))
@@ -136,8 +137,8 @@ def test_orthogonal_change_of_basis_rotates_the_estimate(family, solver, ratio, 
     # <P X Q^T, P A_i Q^T> = <X, A_i> for orthogonal P and Q, and priors and
     # complement references rotated with them give the rotated weighting
     # P Qu P^T, Q Qv Q^T, so the rotated problem's solution is P X Q^T.
-    scenario, instance, _, run = _solve_cell(family, GAUSSIAN, solver, 0.0, ratio, seed)
-    _assume_contracting(instance, run)
+    scenario, instance, _, run, iterates = _solve_cell(family, GAUSSIAN, solver, 0.0, ratio, seed)
+    _assume_contracting(instance, iterates)
     op = instance.operator
     rng = np.random.default_rng(seed)
     p, q = random_orthonormal(op.n, op.n, rng), random_orthonormal(op.n, op.n, rng)

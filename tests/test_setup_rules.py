@@ -1,9 +1,10 @@
 """Each rule that builds a trial has one implementation.
 
 The prior-angle range, count and shape, the solver table and the mode of
-each solver's weight spec, the weighting modes and the operator kinds are
-each checked in one place, so every path that applies a rule raises that
-place's message: the library function, the Scenario, and ``subrec bench FILE``.
+each solver's weight spec, the weighting modes, the operator kinds, the
+integer fields and the orthonormal bases are each checked in one place, so
+every path that applies a rule raises that place's message: the library
+function, the Scenario, and ``subrec bench FILE``.
 """
 
 import argparse
@@ -18,8 +19,9 @@ import pytest
 from subrec import bench
 from subrec.bench import SOLVER_IDS, SOLVER_MODES, WEIGHT_FIELDS, Scenario
 from subrec.cli import build_parser, main
-from subrec.linalg import angle_vector, perturb_subspace, random_orthonormal
+from subrec.linalg import angle_vector, perturb_subspace, principal_angles, random_orthonormal
 from subrec.operators import OPERATOR_KINDS, MeasurementOperator, known_kind
+from subrec.solver import SolverConfig
 from subrec.weighting import (
     PER_DIRECTION,
     SINGLE,
@@ -183,6 +185,47 @@ def test_unknown_operator_kind_has_one_message(tmp_path, capsys):
     assert _bench_file_message(tmp_path, capsys, operator_kind="identity") == want
 
 
+@pytest.mark.parametrize(
+    "bad", [2.5, np.float64(2.0), True, "2"], ids=["float", "np-float", "bool", "str"]
+)
+def test_integer_fields_have_one_message(tmp_path, capsys, bad):
+    # weighting.require_int owns the rule. A SolverConfig that skipped it
+    # took rank 2.5 and np.float64(2.0), whose solve then failed inside the
+    # loop with "slice indices must be integers", and ran rank True as 1.
+    want = f"rank must be an integer, got {bad!r}"
+    assert _message(SolverConfig, rank=bad) == want
+    assert _message(Scenario, rank=bad) == want
+    assert _message(bench.resolve_threads, bad) == f"threads must be an integer, got {bad!r}"
+    if not isinstance(bad, np.generic):
+        assert _bench_file_message(tmp_path, capsys, rank=bad) == want
+
+
+def test_solver_config_stores_a_numpy_integer_rank_as_an_int():
+    config = SolverConfig(rank=np.int64(2))
+    assert config.rank == 2 and type(config.rank) is int
+
+
+SHEAR = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("distortion", [2.0 * np.eye(3), SHEAR], ids=["scaled", "sheared"])
+def test_orthonormal_basis_rule_has_one_message(distortion):
+    # linalg.orthonormal_basis owns the rule. Without it perturb_subspace(2 u,
+    # [10, 20, 30]) returned a basis that was not orthonormal, at 1.30, 3.98
+    # and 15.60 degrees from u, and principal_angles(2 u, u) read 56.3 degrees
+    # for one span; the distorted bases below keep the span of u.
+    rng = np.random.default_rng(0)
+    u = random_orthonormal(10, 3, rng)
+    bad = u @ distortion
+    messages = {
+        "perturb_subspace": _message(perturb_subspace, bad, [10.0, 20.0, 30.0], rng),
+        "principal_angles (first)": _message(principal_angles, bad, u),
+        "principal_angles (second)": _message(principal_angles, u, bad),
+        "build_weight_operator": _message(build_weight_operator, bad, WeightSpec.single(0.5, 0.9)),
+    }
+    assert set(messages.values()) == {"basis columns are not orthonormal"}, messages
+
+
 def _choices(parser, command, option):
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     (action,) = [a for a in commands.choices[command]._actions if option in a.option_strings]
@@ -200,7 +243,8 @@ def test_cli_choices_read_the_tables():
 @pytest.mark.parametrize(
     "message",
     ["must lie in [0, 90] degrees", "unknown solver", "unknown weighting mode",
-     "unknown operator kind", "weight spec, got", "angles, got shape"],
+     "unknown operator kind", "weight spec, got", "angles, got shape", "must be an integer, got",
+     "columns are not orthonormal"],
 )
 def test_each_setup_rule_is_written_once(message):
     sites = [

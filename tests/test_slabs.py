@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import solve_and_iterates
 from test_solver import test_gaussian_least_squares_holds_one_design_block_at_a_time as design_block_check
 
 from subrec import bench, linalg, solver
@@ -111,13 +112,13 @@ def test_solve_with_forced_slabs_equals_unsplit_solve_bit_for_bit(solver_id, n, 
     instance = bench.generate_instance(scenario, ratio, 0)
     config = bench.solver_config(scenario, instance, solver_id)
     with single_blas_thread():
-        unsplit = solver.solve(instance.operator, instance.y, config)
+        unsplit, unsplit_iterates = solve_and_iterates(instance.operator, instance.y, config)
     with forced_slabs(3):
-        split = solver.solve(instance.operator, instance.y, config)
+        split, split_iterates = solve_and_iterates(instance.operator, instance.y, config)
     assert split.iterations == unsplit.iterations
     assert split.stop_reason == unsplit.stop_reason
     assert split.trace == unsplit.trace
-    assert all(same_bits(a, b) for a, b in zip(split.estimates, unsplit.estimates, strict=True))
+    assert all(same_bits(a, b) for a, b in zip(split_iterates, unsplit_iterates, strict=True))
 
 
 @pytest.mark.parametrize("solver_id", ["admira", "grmspi"])
@@ -136,14 +137,14 @@ def test_small_gaussian_solve_calls_blas_directly(monkeypatch, solver_id):
     instance = bench.generate_instance(scenario, max(scenario.sampling_ratios), 0)
     config = bench.solver_config(scenario, instance, solver_id)
     with single_blas_thread():
-        want = solver.solve(instance.operator, instance.y, config)
+        want, want_iterates = solve_and_iterates(instance.operator, instance.y, config)
     monkeypatch.setattr(linalg, "usable_cpus", lambda: 4)
     monkeypatch.setattr(linalg, "_slab_pool", NoPool())
     monkeypatch.setattr(linalg, "run_slabs", no_run_slabs)
     with single_blas_thread():
-        got = solver.solve(instance.operator, instance.y, config)
+        got, got_iterates = solve_and_iterates(instance.operator, instance.y, config)
     assert got.trace == want.trace
-    assert all(same_bits(a, b) for a, b in zip(got.estimates, want.estimates, strict=True))
+    assert all(same_bits(a, b) for a, b in zip(got_iterates, want_iterates, strict=True))
 
 
 def test_pooled_grid_gives_each_solve_its_share_of_the_cores(monkeypatch):

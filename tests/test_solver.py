@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_design, ls_estimate, pinv_least_squares, reference_solve, sensing_matrix
+from oracles import (
+    dense_design,
+    ls_estimate,
+    pinv_least_squares,
+    reference_solve,
+    sensing_matrix,
+    solve_and_iterates,
+)
 from subrec import solver
 from subrec.linalg import dpotrf, dpotrs, random_orthonormal, svd
 from subrec.operators import (
@@ -254,10 +261,10 @@ def test_solve_identity_weights_match_admira():
         build_weight_operator(prior, WeightSpec.single(1.0, 1.0)),
         build_weight_operator(prior, WeightSpec.single(1.0, 1.0)),
     )
-    run_w = solve(op, y, SolverConfig(rank=r, weighting=ones))
-    run_0 = solve(op, y, SolverConfig(rank=r))
+    run_w, iterates_w = solve_and_iterates(op, y, SolverConfig(rank=r, weighting=ones))
+    run_0, iterates_0 = solve_and_iterates(op, y, SolverConfig(rank=r))
     assert run_w.iterations == run_0.iterations
-    for a, b in zip(run_w.estimates, run_0.estimates):
+    for a, b in zip(iterates_w, iterates_0):
         assert np.linalg.norm(a - b) <= 1e-12
 
 
@@ -266,10 +273,10 @@ def test_exact_recovery_with_identity_sensing():
     n = 8
     truth = np.outer(rng.standard_normal(n), rng.standard_normal(n))
     op = MeasurementOperator(GAUSSIAN, n, n * n, mats=np.eye(n * n).reshape(n * n, n, n))
-    run = solve(op, op.apply(truth), SolverConfig(rank=1))
+    run, iterates = solve_and_iterates(op, op.apply(truth), SolverConfig(rank=1))
     assert run.iterations == 1
     assert run.stop_reason == "tolerance"
-    assert len(run.estimates) == 1 and np.array_equal(run.estimates[-1], run.estimate)
+    assert len(iterates) == 1 and np.array_equal(iterates[-1], run.estimate)
     assert np.linalg.norm(run.estimate - truth) / np.linalg.norm(truth) <= 1e-10
 
 
@@ -344,8 +351,8 @@ def test_contraction_when_isometry_constant_small():
         u = random_orthonormal(n, r, np.random.default_rng((20, t)))
         v = random_orthonormal(n, r, np.random.default_rng((21, t)))
         truth = (u * [2.0, 1.0]) @ v.T
-        run = solve(op, op.apply(truth), SolverConfig(rank=r))
-        errs = [np.linalg.norm(truth - est) for est in run.estimates]
+        _, iterates = solve_and_iterates(op, op.apply(truth), SolverConfig(rank=r))
+        errs = [np.linalg.norm(truth - est) for est in iterates]
         ratios.extend(b / a for a, b in zip(errs, errs[1:]) if a > 1e-13)
     assert np.mean([ratio <= 1.0 for ratio in ratios]) >= 0.95
 
@@ -619,11 +626,11 @@ def test_trace_residual_equals_measured_residual(kind, weighted, n, rank, ratio,
         )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "MAX_ITERATIONS", 8)
-        run = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
-    assert len(run.estimates) == len(run.trace) == run.iterations
-    assert np.array_equal(run.estimates[-1], run.estimate)
+        run, iterates = solve_and_iterates(op, y, SolverConfig(rank=rank, weighting=weighting))
+    assert len(iterates) == len(run.trace) == run.iterations
+    assert np.array_equal(iterates[-1], run.estimate)
     y_norm = np.linalg.norm(y)
-    for rec, est in zip(run.trace, run.estimates):
+    for rec, est in zip(run.trace, iterates):
         measured = np.linalg.norm(y - op.apply(est))
         if kind == COMPLETION:
             assert rec.residual_norm == measured
@@ -818,12 +825,12 @@ def test_unit_rmspi_weights_reproduce_unweighted_solve_bit_for_bit(kind, n, rank
     y += noise * np.linalg.norm(y) / np.sqrt(p) * rng.standard_normal(p)
     ones = WeightSpec.single(1.0, 1.0)
     weighting = tuple(build_weight_operator(random_orthonormal(n, rank, rng), ones) for _ in range(2))
-    run_w = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
-    run_0 = solve(op, y, SolverConfig(rank=rank))
+    run_w, iterates_w = solve_and_iterates(op, y, SolverConfig(rank=rank, weighting=weighting))
+    run_0, iterates_0 = solve_and_iterates(op, y, SolverConfig(rank=rank))
     assert run_w.stop_reason == run_0.stop_reason
     assert run_w.trace == run_0.trace
-    assert len(run_w.estimates) == len(run_0.estimates) == run_0.iterations
-    for a, b in zip(run_w.estimates, run_0.estimates):
+    assert len(iterates_w) == len(iterates_0) == run_0.iterations
+    for a, b in zip(iterates_w, iterates_0):
         assert np.array_equal(a, b)
     assert np.array_equal(run_w.estimate, run_0.estimate)
 
@@ -869,8 +876,8 @@ def test_every_iterate_is_one_reference_step_from_the_last(kind, mode, n, rank, 
         weighting = tuple(
             build_weight_operator(random_orthonormal(n, rank, rng), spec, rng=rng) for _ in range(2)
         )
-    run = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
-    ref = reference_solve(op, y, rank, weighting, follow=run.estimates)
+    run, iterates = solve_and_iterates(op, y, SolverConfig(rank=rank, weighting=weighting))
+    ref = reference_solve(op, y, rank, weighting, follow=iterates)
     # Near-ties: the proxy's 2r-th and (2r+1)-th singular values (support
     # selection), and the r-th and (r+1)-th ones of an estimate (truncation
     # and the support carried over). Near-singular designs: two correct
@@ -881,7 +888,7 @@ def test_every_iterate_is_one_reference_step_from_the_last(kind, mode, n, rank, 
     assert len(ref.estimates) == run.iterations
     assert ref.stop_reason == run.stop_reason
     y_norm = np.linalg.norm(y)
-    for est, ref_est, rec, ref_norm in zip(run.estimates, ref.estimates, run.trace, ref.residual_norms):
+    for est, ref_est, rec, ref_norm in zip(iterates, ref.estimates, run.trace, ref.residual_norms):
         assert np.linalg.norm(est - ref_est) <= REFERENCE_TOL * np.linalg.norm(ref_est)
         assert abs(rec.residual_norm - ref_norm) <= REFERENCE_TOL * y_norm
 
@@ -901,9 +908,9 @@ def test_solve_matches_the_free_running_reference_loop(kind, weighted):
     y = op.apply((u * [2.0, 1.0]) @ v.T)
     spec = WeightSpec.single(0.4, 0.9)
     weighting = (build_weight_operator(u, spec), build_weight_operator(v, spec)) if weighted else None
-    run = solve(op, y, SolverConfig(rank=rank, weighting=weighting))
+    run, iterates = solve_and_iterates(op, y, SolverConfig(rank=rank, weighting=weighting))
     ref = reference_solve(op, y, rank, weighting)
     assert len(ref.estimates) == run.iterations
     assert ref.stop_reason == run.stop_reason
-    for est, ref_est in zip(run.estimates, ref.estimates):
+    for est, ref_est in zip(iterates, ref.estimates):
         assert np.linalg.norm(est - ref_est) <= 1e-8 * np.linalg.norm(ref_est)
