@@ -109,10 +109,10 @@ class Scenario:
         has_priors = self.theta_u is not None or self.theta_v is not None
         if self.n < 1:
             raise ValueError("dimension must be positive")
-        max_rank = self.n // 2 if has_priors else self.n
-        if not 1 <= self.rank <= max_rank:
-            suffix = " to build priors" if has_priors else ""
-            raise ValueError(f"rank must lie in [1, {max_rank}]{suffix}")
+        if not 1 <= self.rank <= self.n:
+            raise ValueError(f"rank must lie in [1, {self.n}]")
+        if has_priors:
+            linalg.require_prior_room(self.n, self.rank)
         known_kind(self.operator_kind)
         if not self.sampling_ratios:
             raise ValueError("need at least one sampling ratio")
@@ -140,21 +140,15 @@ class Scenario:
             mode = SOLVER_MODES[key.split("_weights_")[0]]
             if spec.mode != mode:
                 raise ValueError(f"{key} must be a {mode} weight spec, got {spec.mode}")
-            if spec.rank not in (None, self.rank):
-                raise ValueError(
-                    f"{key} carries {spec.rank} per-direction weights for rank {self.rank}"
-                )
+            spec.require_rank(self.rank, key)
         if not has_priors:
             if any(modes):
                 raise ValueError("rmspi and grmspi need prior angles theta_u and theta_v")
             return
+        if self.theta_u is None or self.theta_v is None:
+            raise ValueError("theta_u and theta_v must both be set, or both null for no priors")
         for theta in (self.theta_u, self.theta_v):
-            if theta is None or len(theta) != self.rank:
-                raise ValueError(
-                    f"theta_u and theta_v need one prior angle per rank direction "
-                    f"({self.rank} each), or both null for no priors"
-                )
-            angle_vector(theta)
+            angle_vector(theta, self.rank)
 
     @classmethod
     def from_config(cls, cfg):

@@ -310,6 +310,12 @@ def angle_vector(angles, count=None):
     return angles
 
 
+def require_prior_room(n, r):
+    """ValueError unless dimension ``n`` holds r prior and r complement directions (n >= 2r)."""
+    if n < 2 * r:
+        raise ValueError(f"priors of rank {r} need dimension at least {2 * r}, got {n}")
+
+
 def random_orthonormal(n, r, rng):
     """Haar-distributed (n, r) frame with orthonormal columns."""
     if r > n:
@@ -326,15 +332,14 @@ def perturb_subspace(basis, target_angles_deg, rng):
     Column i of the result is cos(t_i) * basis_i + sin(t_i) * q_i with the q_i
     an orthonormal frame inside the complement of ``basis``, so the principal
     angles between the input and output spans are exactly sorted(target_angles).
-    Requires ambient_dim >= 2 * rank to host the complement frame, an
-    orthonormal basis (``orthonormal_basis``) and one angle per column
-    (``angle_vector``).
+    Requires an orthonormal basis (``orthonormal_basis``), one angle per
+    column (``angle_vector``) and room for the complement frame
+    (``require_prior_room``).
     """
     basis = orthonormal_basis(basis)
     n, r = basis.shape
     angles = angle_vector(target_angles_deg, r)
-    if n < 2 * r:
-        raise ValueError(f"ambient dimension {n} too small to rotate {r} directions")
+    require_prior_room(n, r)
     frame = _complement_frame(basis, r, np.random.default_rng(rng))
     theta = np.radians(angles)
     return basis * np.cos(theta) + frame * np.sin(theta)

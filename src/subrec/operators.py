@@ -162,10 +162,6 @@ class WeightedOperator:
                 setattr(self, key, None)
 
     @property
-    def p(self):
-        return self.base.p
-
-    @property
     def n(self):
         return self.base.n
 

@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .linalg import dpotrf, dpotrs
 from .operators import COMPLETION, WeightedOperator
-from .weighting import require_int
+from .weighting import WeightOperator, require_int
 
 # The stop rule: a residual at most RESIDUAL_TOLERANCE * ||y||, or
 # STAGNATION_RUN flat iterations in a row, each decreasing the residual by
@@ -109,8 +109,8 @@ class SolverConfig:
     """Configuration for one solve.
 
     ``weighting`` is None for the unweighted baseline or a (Qu, Qv) pair of
-    WeightOperator; single-weight specs give the one-weight variant, per
-    direction specs the multi-weight variant.
+    WeightOperator, else ValueError; single-weight specs give the one-weight
+    variant, per direction specs the multi-weight variant.
     """
 
     rank: int
@@ -120,6 +120,16 @@ class SolverConfig:
         self.rank = require_int("rank", self.rank)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
+        pair = self.weighting
+        if pair is not None and not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(q, WeightOperator) for q in pair)
+        ):
+            got = type(pair).__name__
+            if isinstance(pair, (list, tuple)):
+                got = f"({', '.join(type(q).__name__ for q in pair)})"
+            raise ValueError(f"weighting must be None or a (Qu, Qv) pair of WeightOperator, got {got}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .linalg import angle_vector, finite_matrix, orthonormal_basis
+from .linalg import angle_vector, finite_matrix, orthonormal_basis, require_prior_room
 
 SINGLE = "single"
 PER_DIRECTION = "per_direction"
@@ -114,6 +114,11 @@ class WeightSpec:
         """Number of weighted directions per side, or None in single mode."""
         return None if self.mode == SINGLE else len(self.span_weights)
 
+    def require_rank(self, rank, name="weight spec"):
+        """ValueError naming ``name`` unless a per-direction spec has one weight per direction."""
+        if self.rank not in (None, rank):
+            raise ValueError(f"{name} carries {self.rank} per-direction weights for rank {rank}")
+
     @classmethod
     def from_config(cls, cfg):
         return read_config(cls, cfg, "weight spec")
@@ -136,9 +141,10 @@ class WeightOperator:
 def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     """Assemble Q and Q^-1 for a prior basis and a weight specification.
 
-    Both modes take the module's one formula. A prior that is not an
-    orthonormal basis (``linalg.orthonormal_basis``) or a reference that is
-    not a finite 2-d array (``linalg.finite_matrix``) raises ValueError.
+    Both modes take the module's one formula. A fault raises the ValueError
+    of ``linalg.orthonormal_basis`` (prior), ``linalg.finite_matrix`` and an
+    (n, >= r) shape (reference), ``WeightSpec.require_rank`` or, in
+    per-direction mode, ``linalg.require_prior_room``.
 
     In per-direction mode the r weighted complement directions are the ones
     most aligned with ``complement_reference`` (normally the ground-truth
@@ -148,17 +154,18 @@ def build_weight_operator(prior, spec, complement_reference=None, rng=None):
     """
     prior = orthonormal_basis(prior)
     n, r = prior.shape
-
+    spec.require_rank(r)
+    if complement_reference is not None:
+        complement_reference, _ = finite_matrix(complement_reference)
+        if complement_reference.shape[0] != n or complement_reference.shape[1] < r:
+            raise ValueError("complement reference has incompatible shape")
     dirs = None
     if spec.mode == SINGLE:
         c = spec.complement_weights
         basis = prior
         w = np.full(r, spec.span_weights)
     else:
-        if spec.rank != r:
-            raise ValueError(f"spec carries {spec.rank} weights but prior has rank {r}")
-        if n < 2 * r:
-            raise ValueError(f"ambient dimension {n} cannot host {r} weighted complement directions")
+        require_prior_room(n, r)
         dirs = _weighted_complement_directions(prior, complement_reference, rng)
         c = 1.0
         basis = np.hstack([prior, dirs])
@@ -185,9 +192,6 @@ def _weighted_complement_directions(prior, reference, rng):
     n, r = prior.shape
     complement = np.linalg.svd(prior, full_matrices=True)[0][:, r:]
     if reference is not None:
-        reference, _ = finite_matrix(reference)
-        if reference.shape[0] != n or reference.shape[1] < r:
-            raise ValueError("complement reference has incompatible shape")
         left = np.linalg.svd(complement.T @ reference, full_matrices=False)[0]
         # SVD orders by alignment with the reference (descending), which is
         # descending principal angle of the span side; flip so that index i

@@ -137,8 +137,8 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
     "overrides, message",
     [
         ({"n": 0}, "dimension must be positive"),
-        ({"rank": 0}, "rank must lie in [1, 15] to build priors"),
-        ({"rank": 16}, "rank must lie in [1, 15] to build priors"),
+        ({"rank": 0}, "rank must lie in [1, 30]"),
+        ({"rank": 16}, "priors of rank 16 need dimension at least 32, got 30"),
         ({**NO_PRIORS, "solvers": ["admira"], "rank": 31}, "rank must lie in [1, 30]"),
         ({"operator_kind": "identity"}, "unknown operator kind 'identity'"),
         ({"sampling_ratios": []}, "need at least one sampling ratio"),
@@ -151,12 +151,8 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
         ({"trials": 0}, "need at least one trial"),
         ({"solvers": ["sdp"]}, "unknown solver 'sdp'"),
         (NO_PRIORS, "rmspi and grmspi need prior angles theta_u and theta_v"),
-        ({"theta_u": None},
-         "theta_u and theta_v need one prior angle per rank direction (3 each), "
-         "or both null for no priors"),
-        ({"theta_v": [1.0, 2.0]},
-         "theta_u and theta_v need one prior angle per rank direction (3 each), "
-         "or both null for no priors"),
+        ({"theta_u": None}, "theta_u and theta_v must both be set, or both null for no priors"),
+        ({"theta_v": [1.0, 2.0]}, "need 3 angles, got shape (2,)"),
         ({"theta_v": [1.0, 2.0, 95.0]}, "prior angles must lie in [0, 90] degrees"),
         ({"grmspi_weights_v": {"mode": "per_direction", "span_weights": [0.2, 0.2],
                                "complement_weights": [0.9, 0.9]}},
@@ -345,12 +341,10 @@ def test_recover_matrix_errors(tmp_path, capsys):
     write_matrix_csv(rng.standard_normal((4, 6)), rect)
     for args, message in (
         ([str(rect), "--rank", "1"], "recover expects a square matrix"),
-        ([str(path), "--rank", "0"], "rank must lie in [1, 3] to build priors"),
-        ([str(path), "--rank", "4"], "rank must lie in [1, 3] to build priors"),
+        ([str(path), "--rank", "0"], "rank must lie in [1, 6]"),
+        ([str(path), "--rank", "4"], "priors of rank 4 need dimension at least 8, got 6"),
         ([str(path), "--rank", "1", "--theta-u", "95"], "prior angles must lie in [0, 90] degrees"),
-        ([str(path), "--rank", "1", "--theta-v", "3,4"],
-         "theta_u and theta_v need one prior angle per rank direction (1 each), "
-         "or both null for no priors"),
+        ([str(path), "--rank", "1", "--theta-v", "3,4"], "need 1 angles, got shape (2,)"),
         ([str(path), "--rank", "1", "--ratio", "0.01"],
          "sampling ratio 0.01 gives no measurements at n = 6"),
         ([str(path), "--rank", "1", "--kind", "completion", "--ratio", "1.5"],
@@ -415,7 +409,7 @@ def test_rip_command_rejects_identity_kind(capsys):
         (["--kind", "completion", "--ratios", "1.5"], "sampling ratio 1.5 outside (0, 1]"),
         (["--n", "10", "--ratios", "0.001"], "sampling ratio 0.001 gives no measurements at n = 10"),
         (["--ratios", "1.5"], "sampling ratio 1.5 outside (0, 1]"),
-        (["--n", "4"], "rank must lie in [1, 2] to build priors"),
+        (["--n", "4"], "priors of rank 3 need dimension at least 6, got 4"),
         (["--samples", "0"], "need at least one sample"),
         (["--ranks", "0"], "sample rank 0 outside [1, 30]"),
         (["--ranks", "3,31"], "sample rank 31 outside [1, 30]"),

@@ -1,10 +1,11 @@
 """Each rule that builds a trial has one implementation.
 
-The prior-angle range, count and shape, the solver table and the mode of
-each solver's weight spec, the weighting modes, the operator kinds, the
-integer fields and the orthonormal bases are each checked in one place, so
-every path that applies a rule raises that place's message: the library
-function, the Scenario, and ``subrec bench FILE``.
+The prior-angle range, count and shape, the room for priors (n >= 2r), the
+per-direction weight count, the solver table and the mode of each solver's
+weight spec, the weighting modes, a solve's weighting pair, the operator
+kinds, the integer fields and the orthonormal bases are each checked in one
+place, so every path that applies a rule raises that place's message: the
+library function, the Scenario, and the command line.
 """
 
 import argparse
@@ -19,7 +20,13 @@ import pytest
 from subrec import bench
 from subrec.bench import SOLVER_IDS, SOLVER_MODES, WEIGHT_FIELDS, Scenario
 from subrec.cli import build_parser, main
-from subrec.linalg import angle_vector, perturb_subspace, principal_angles, random_orthonormal
+from subrec.linalg import (
+    angle_vector,
+    perturb_subspace,
+    principal_angles,
+    random_orthonormal,
+    require_prior_room,
+)
 from subrec.operators import OPERATOR_KINDS, MeasurementOperator, known_kind
 from subrec.solver import SolverConfig
 from subrec.weighting import (
@@ -32,10 +39,7 @@ from subrec.weighting import (
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subrec"
 RANGE = "prior angles must lie in [0, 90] degrees"
-BOTH_OR_NULL = (
-    "theta_u and theta_v need one prior angle per rank direction (3 each), "
-    "or both null for no priors"
-)
+BOTH_OR_NULL = "theta_u and theta_v must both be set, or both null for no priors"
 
 
 def _message(fn, *args, **kwargs):
@@ -51,11 +55,17 @@ def _bench_file_message(tmp_path, capsys, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"
-    assert main(["bench", str(path), "--out", str(out)]) == 1
+    message = _cli_message(capsys, "bench", str(path), "--out", str(out))
     assert not out.exists()
+    return message
+
+
+def _cli_message(capsys, command, *args):
+    """The error ``subrec <command> ARGS`` prints, after requiring exit code 1."""
+    assert main([command, *args]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("subrec bench: ") and err.endswith("\n")
-    return err[len("subrec bench: "):-1]
+    assert err.startswith(f"subrec {command}: ") and err.endswith("\n")
+    return err[len(f"subrec {command}: "):-1]
 
 
 @pytest.mark.parametrize("bad", [95.0, -1.0, math.nan], ids=["95", "-1", "nan"])
@@ -72,9 +82,28 @@ def test_prior_angle_range_has_one_message(tmp_path, capsys, bad):
     assert set(messages.values()) == {RANGE}, messages
 
 
+def _scenario_paths(key, value):
+    """The Scenario's message for close_close with ``key`` set, asserted equal on all three builds."""
+    preset = bench.builtin_presets()["close_close"]
+    cfg = dict(dataclasses.asdict(preset), **{key: value})
+    if isinstance(value, WeightSpec):
+        cfg[key] = dataclasses.asdict(value)
+    want = _message(Scenario, **{key: value})
+    assert _message(dataclasses.replace, preset, **{key: value}) == want
+    assert _message(Scenario.from_config, cfg) == want
+    return want
+
+
+def _matrix_file(tmp_path, n):
+    path = tmp_path / "matrix.csv"
+    rows = np.random.default_rng(3).standard_normal((n, n))
+    path.write_text(f"{n},{n}\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    return str(path)
+
+
 def test_prior_angle_count_has_one_message_per_path(tmp_path, capsys):
-    # angle_vector owns the count; the Scenario names both fields, because a
-    # null theta and a short one break the same rule there.
+    # angle_vector owns the count; the Scenario keeps only the rule that
+    # both thetas are set or both null.
     rng = np.random.default_rng(0)
     short = [2.0, 3.0]
     want = "need 3 angles, got shape (2,)"
@@ -83,8 +112,83 @@ def test_prior_angle_count_has_one_message_per_path(tmp_path, capsys):
     for mode in (SINGLE, PER_DIRECTION):
         assert _message(angles_to_weights, [], mode) == "need at least one angle"
     assert _message(angle_vector, []) == "need at least one angle"
-    assert _message(Scenario, theta_v=tuple(short)) == BOTH_OR_NULL
-    assert _bench_file_message(tmp_path, capsys, theta_v=short) == BOTH_OR_NULL
+    for key in ("theta_u", "theta_v"):
+        assert _scenario_paths(key, tuple(short)) == want
+        assert _bench_file_message(tmp_path, capsys, **{key: short}) == want
+        assert _scenario_paths(key, None) == BOTH_OR_NULL
+    matrix = _matrix_file(tmp_path, 6)
+    for option in ("--theta-u", "--theta-v"):
+        got = _cli_message(capsys, "recover", "--matrix", matrix, "--rank", "1", option, "3,4")
+        assert got == "need 1 angles, got shape (2,)"
+
+
+def test_prior_room_has_one_message_per_path(tmp_path, capsys):
+    # linalg.require_prior_room owns n >= 2r. It had three messages: the
+    # Scenario's "rank must lie in [1, 15] to build priors", perturb_subspace's
+    # "ambient dimension 5 too small to rotate 3 directions" and
+    # build_weight_operator's "... cannot host 3 weighted complement directions".
+    rng = np.random.default_rng(0)
+    want = "priors of rank 3 need dimension at least 6, got 5"
+    small = random_orthonormal(5, 3, rng)
+    spec = WeightSpec.per_direction((0.5,) * 3, (0.9,) * 3)
+    assert _message(require_prior_room, 5, 3) == want
+    assert _message(perturb_subspace, small, [1.0, 2.0, 3.0], rng) == want
+    assert _message(build_weight_operator, small, spec, rng=rng) == want
+    assert _message(build_weight_operator, small, spec, random_orthonormal(5, 3, rng)) == want
+    require_prior_room(6, 3)
+    # A single-mode weighting weights the whole complement uniformly, so it
+    # has no complement directions to place and needs no room.
+    build_weight_operator(small, WeightSpec.single(0.5, 0.9))
+
+    room = "priors of rank 16 need dimension at least 32, got 30"
+    assert _scenario_paths("rank", 16) == room
+    assert _bench_file_message(tmp_path, capsys, rank=16) == room
+    # Without priors the Scenario's own rule, 1 <= rank <= n, is all that applies.
+    Scenario(rank=16, theta_u=None, theta_v=None, solvers=("admira",))
+    assert _scenario_paths("rank", 0) == "rank must lie in [1, 30]"
+    matrix = _matrix_file(tmp_path, 6)
+    got = _cli_message(capsys, "recover", "--matrix", matrix, "--rank", "4")
+    assert got == "priors of rank 4 need dimension at least 8, got 6"
+    assert _cli_message(capsys, "rip", "--n", "5") == want
+
+
+def test_per_direction_weight_count_has_one_message_per_path(tmp_path, capsys):
+    # WeightSpec.require_rank owns the count and takes the name its message
+    # gives, so a scenario file's error names the field.
+    short = WeightSpec.per_direction((0.2, 0.2), (0.9, 0.9))
+    assert _message(short.require_rank, 3) == "weight spec carries 2 per-direction weights for rank 3"
+    short.require_rank(2)
+    WeightSpec.single(0.2, 0.9).require_rank(3)
+    prior = random_orthonormal(10, 3, np.random.default_rng(0))
+    got = _message(build_weight_operator, prior, short, rng=0)
+    assert got == "weight spec carries 2 per-direction weights for rank 3"
+    for key in ("grmspi_weights_u", "grmspi_weights_v"):
+        want = f"{key} carries 2 per-direction weights for rank 3"
+        assert _scenario_paths(key, short) == want
+        assert _bench_file_message(tmp_path, capsys, **{key: dataclasses.asdict(short)}) == want
+
+
+def test_solve_weighting_must_be_a_pair_of_weight_operators():
+    # SolverConfig owns the rule. Each of these was accepted and then failed
+    # inside iterate with a TypeError, an AttributeError or an unpacking
+    # ValueError.
+    q = build_weight_operator(random_orthonormal(6, 2, np.random.default_rng(0)),
+                              WeightSpec.single(0.5, 0.9))
+    rule = "weighting must be None or a (Qu, Qv) pair of WeightOperator, got "
+    cases = {
+        "WeightOperator": q,
+        "str": "rmspi",
+        "(WeightOperator)": (q,),
+        "(WeightOperator, WeightOperator, WeightOperator)": (q, q, q),
+        "(ndarray, ndarray)": (q.q_inv, q.q_inv),
+        "(NoneType, WeightOperator)": (None, q),
+    }
+    config = SolverConfig(rank=2)
+    for got, weighting in cases.items():
+        assert _message(SolverConfig, rank=2, weighting=weighting) == rule + got
+        assert _message(dataclasses.replace, config, weighting=weighting) == rule + got
+    for weighting in (None, (q, q), [q, q]):
+        assert SolverConfig(rank=2, weighting=weighting).weighting is weighting
 
 
 def test_angle_vector_keeps_the_bounds_and_the_values():
@@ -244,7 +348,8 @@ def test_cli_choices_read_the_tables():
     "message",
     ["must lie in [0, 90] degrees", "unknown solver", "unknown weighting mode",
      "unknown operator kind", "weight spec, got", "angles, got shape", "must be an integer, got",
-     "columns are not orthonormal"],
+     "columns are not orthonormal", "need dimension at least", "per-direction weights for rank",
+     "must both be set, or both null", "pair of WeightOperator, got"],
 )
 def test_each_setup_rule_is_written_once(message):
     sites = [

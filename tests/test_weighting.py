@@ -176,6 +176,25 @@ def test_build_rejects_prior_and_reference_that_are_not_2d():
         build_weight_operator(prior, spec, complement_reference=prior[:, 0])
 
 
+@pytest.mark.parametrize(
+    "reference, match",
+    [
+        ("junk", "could not convert string to float: 'junk'"),
+        (np.full((10, 2), np.nan), "infs or NaNs"),
+        (np.ones(10), r"^expected a 2-d array, got shape \(10,\)$"),
+        (np.ones((5, 3)), "^complement reference has incompatible shape$"),
+    ],
+    ids=["string", "all-nan", "1d", "wrong-shape"],
+)
+def test_build_checks_the_reference_in_both_modes(reference, match):
+    # Single mode does not use the reference, but it used to accept these
+    # silently while per-direction mode rejected them.
+    prior = random_orthonormal(10, 3, np.random.default_rng(12))
+    for spec in (WeightSpec.single(0.5, 0.9), WeightSpec.per_direction((0.5,) * 3, (0.5,) * 3)):
+        with pytest.raises(ValueError, match=match):
+            build_weight_operator(prior, spec, complement_reference=reference)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_build_rejects_non_finite_prior_and_reference(value):
     # A NaN prior slipped past the orthonormality check (nan > 1e-8 is False)
