@@ -39,7 +39,6 @@ from .weighting import (
     is_real,
     read_config,
     real_tuple,
-    require_int,
 )
 
 # Success criterion: normalized error <= 1e-2 within solver.MAX_ITERATIONS iterations.
@@ -84,8 +83,9 @@ class Scenario:
     master_seed: int = 1
 
     def __post_init__(self):
-        for key in ("n", "rank", "trials", "master_seed"):
-            object.__setattr__(self, key, require_int(key, getattr(self, key)))
+        for key, lo, hi in (("n", 1, None), ("rank", 1, self.n), ("trials", 1, None),
+                            ("master_seed", 0, None)):
+            object.__setattr__(self, key, linalg.require_int(key, getattr(self, key), lo, hi))
         for key in ("sampling_ratios", "theta_u", "theta_v"):
             values = getattr(self, key)
             if key == "sampling_ratios" or values is not None:
@@ -107,10 +107,6 @@ class Scenario:
                 raise ValueError(f"{key} must be a weight spec or null, got {spec!r}")
 
         has_priors = self.theta_u is not None or self.theta_v is not None
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
-        if not 1 <= self.rank <= self.n:
-            raise ValueError(f"rank must lie in [1, {self.n}]")
         if has_priors:
             linalg.require_prior_room(self.n, self.rank)
         known_kind(self.operator_kind)
@@ -126,10 +122,6 @@ class Scenario:
             raise ValueError(f"sampling ratios must be distinct, got {list(self.sampling_ratios)}")
         if not 0.0 <= self.noise_level < math.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise_level}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if not self.solvers or len(set(self.solvers)) < len(self.solvers):
             raise ValueError(f"solvers must be one or more distinct names, got {list(self.solvers)}")
         modes = [weighting_mode(solver) for solver in self.solvers]
@@ -147,8 +139,8 @@ class Scenario:
             return
         if self.theta_u is None or self.theta_v is None:
             raise ValueError("theta_u and theta_v must both be set, or both null for no priors")
-        for theta in (self.theta_u, self.theta_v):
-            angle_vector(theta, self.rank)
+        for key in ("theta_u", "theta_v"):
+            angle_vector(key, getattr(self, key), self.rank)
 
     @classmethod
     def from_config(cls, cfg):
@@ -248,8 +240,9 @@ class Instance:
 
 
 def _cell_key(scenario, ratio, trial_index):
-    """The seed key (master_seed, ratio, trial) of one cell of a grid."""
-    return (int(scenario.master_seed), _ratio_key(ratio), int(trial_index))
+    """The seed key (master_seed, ratio, trial) of a grid's cell, for an integer trial >= 0."""
+    trial_index = linalg.require_int("trial_index", trial_index, 0)
+    return (scenario.master_seed, _ratio_key(ratio), trial_index)
 
 
 def _operator_seed(key):
@@ -277,15 +270,25 @@ def generate_instance(scenario, ratio, trial_index, operator=None):
 def instance_from_truth(scenario, truth, truth_u, truth_v, ratio, trial_index, key, operator=None):
     """Sense ``truth`` as the scenario's cell at ``ratio``, seeded by the tuple ``key``.
 
-    The operator draws from ``_operator_seed(key)``, (*key, 1), here unless
-    it is given; the serial grid's draw-ahead takes the same seed. Optional
-    noise adds a vector of the scenario's relative norm in a uniformly random
-    direction from (*key, 2). Priors tilt truth_u and truth_v by the
-    scenario's angles, from (*key, 3).
+    ``truth`` must be a finite, nonzero n x n matrix, else ValueError;
+    ``truth_u`` and ``truth_v`` are its top-rank singular subspaces, taken
+    from its SVD when None. The operator draws from ``_operator_seed(key)``,
+    (*key, 1), here unless it is given; the serial grid's draw-ahead takes
+    the same seed. Optional noise adds a vector of the scenario's relative
+    norm in a uniformly random direction from (*key, 2). Priors tilt truth_u
+    and truth_v by the scenario's angles, from (*key, 3).
     """
-    p = measurement_count(scenario.n, ratio)
+    n = scenario.n
+    truth, squares = linalg.finite_matrix(truth)
+    if truth.shape != (n, n) or not squares:
+        got = f"shape {truth.shape} and norm {math.sqrt(squares):g}"
+        raise ValueError(f"truth must be a nonzero {n} x {n} matrix, got {got}")
+    if truth_u is None:
+        u, _, vh = linalg.svd(truth)
+        truth_u, truth_v = u[:, :scenario.rank], vh[:scenario.rank].T
+    p = measurement_count(n, ratio)
     if operator is None:
-        operator = make_operator(scenario.operator_kind, scenario.n, p, _operator_seed(key))
+        operator = make_operator(scenario.operator_kind, n, p, _operator_seed(key))
     y = operator.apply(truth)
     if scenario.noise_level > 0.0:
         rng_noise = np.random.default_rng((*key, 2))
@@ -442,10 +445,7 @@ class Report:
 
 def resolve_threads(threads):
     """The trial pool size as an int; ValueError unless it is an integer of at least 1."""
-    threads = require_int("threads", threads)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return threads
+    return linalg.require_int("threads", threads, 1)
 
 
 def run_grid(scenario, threads=1):
@@ -572,9 +572,8 @@ def rip_survey(scenario, ranks, samples):
     n, seed = scenario.n, scenario.master_seed
     if scenario.theta_u is None:
         raise ValueError("rip_survey needs prior angles theta_u and theta_v; the scenario has none")
-    for rank in ranks:
-        if not 1 <= rank <= n:
-            raise ValueError(f"sample rank {rank} outside [1, {n}]")
+    ranks = [linalg.require_int("sample rank", rank, 1, n) for rank in ranks]
+    samples = linalg.require_int("samples", samples, 1)
     rng = np.random.default_rng((seed, 0))
     truth_u = random_orthonormal(n, scenario.rank, rng)
     truth_v = random_orthonormal(n, scenario.rank, rng)
@@ -586,7 +585,7 @@ def rip_survey(scenario, ranks, samples):
     for rank in ranks:
         for ratio in scenario.sampling_ratios:
             p = measurement_count(n, ratio)
-            cell = (seed, int(rank), _ratio_key(ratio))
+            cell = (seed, rank, _ratio_key(ratio))
             operator = make_operator(scenario.operator_kind, n, p, cell)
             weighted = WeightedOperator(operator, qu.q_inv, qv.q_inv)
             rng_cell = np.random.default_rng((*cell, 1))

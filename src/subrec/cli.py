@@ -16,10 +16,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__, bench
-from .linalg import single_blas_thread, svd
+from .linalg import single_blas_thread
 from .operators import GAUSSIAN, OPERATOR_KINDS
 
 
@@ -44,13 +42,13 @@ def build_parser():
 
     rec = sub.add_parser("recover", parents=[], help="solve one instance and print SNR/iterations")
     rec.add_argument("--matrix", help="CSV matrix file (header 'rows,cols'); omit to use a preset instance")
-    rec.add_argument("--preset", default="close_close", help="preset scenario for generated instances")
+    rec.add_argument("--preset", help="preset for generated instances (default close_close)")
     rec.add_argument("--solver", default="grmspi", choices=bench.SOLVER_IDS)
     rec.add_argument("--ratio", type=float, default=0.6, help="sampling ratio p/n^2")
-    rec.add_argument("--trial", type=int, default=0, help="trial index within the preset stream")
-    rec.add_argument("--kind", default=GAUSSIAN, choices=OPERATOR_KINDS,
-                     help="operator kind for --matrix instances")
-    rec.add_argument("--seed", type=int, default=0, help="seed for --matrix instances")
+    rec.add_argument("--trial", type=int, help="trial index within the preset stream (default 0)")
+    rec.add_argument("--kind", choices=OPERATOR_KINDS,
+                     help=f"operator kind for --matrix instances (default {GAUSSIAN})")
+    rec.add_argument("--seed", type=int, help="seed for --matrix instances (default 0)")
     rec.add_argument("--rank", type=int, help="target rank (required with --matrix)")
     rec.add_argument("--theta-u", type=_angles, help="prior angles per direction, degrees, comma separated")
     rec.add_argument("--theta-v", type=_angles)
@@ -118,13 +116,18 @@ def _cmd_recover(args):
     # One BLAS thread, as in run_grid, so the trial equals its grid row bit for bit.
     with single_blas_thread():
         try:
-            if args.trial < 0:
-                raise ValueError(f"--trial must be nonnegative, got {args.trial}")
+            # Each instance source reads only its own options and refuses the other's.
+            matrix_only = ("kind", "seed", "rank", "theta_u", "theta_v")
+            for key in ("preset", "trial") if args.matrix else matrix_only:
+                if getattr(args, key) is not None:
+                    applies = "does not apply with" if args.matrix else "applies only with"
+                    raise ValueError(f"--{key.replace('_', '-')} {applies} --matrix")
             if args.matrix:
                 scenario, instance = _matrix_trial(args)
             else:
-                scenario = replace(_load_preset(args.preset), sampling_ratios=(args.ratio,))
-                instance = bench.generate_instance(scenario, args.ratio, args.trial)
+                preset = _load_preset(args.preset or "close_close")
+                scenario = replace(preset, sampling_ratios=(args.ratio,))
+                instance = bench.generate_instance(scenario, args.ratio, args.trial or 0)
         except (OSError, ValueError) as exc:
             print(f"subrec recover: {exc}", file=sys.stderr)
             return 1
@@ -137,28 +140,24 @@ def _matrix_trial(args):
     """One-cell scenario and instance sensing the --matrix file itself.
 
     The matrix is the ground truth; its top-rank singular subspaces are the
-    true subspaces the priors tilt away from.
+    true subspaces the priors tilt away from. A fault of the matrix raises
+    the ValueError of ``bench.instance_from_truth``, naming the file.
     """
     matrix = bench.read_matrix_csv(args.matrix)
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"matrix file {args.matrix} contains NaN or Inf entries")
-    if not matrix.any():
-        raise ValueError(f"matrix file {args.matrix} is all zeros")
     if args.rank is None:
         raise ValueError("--rank is required with --matrix")
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("recover expects a square matrix")
     default_angles = (5.0,) * args.rank
+    seed = args.seed or 0
+    # n is the longer side, so a file that is not square breaks the truth rule, not a rule of n.
     scenario = bench.Scenario(
-        name="matrix", n=n, rank=args.rank, operator_kind=args.kind, sampling_ratios=(args.ratio,),
-        theta_u=args.theta_u or default_angles, theta_v=args.theta_v or default_angles, trials=1,
-        master_seed=args.seed,
+        name="matrix", n=max(matrix.shape), rank=args.rank, operator_kind=args.kind or GAUSSIAN,
+        sampling_ratios=(args.ratio,), theta_u=args.theta_u or default_angles,
+        theta_v=args.theta_v or default_angles, trials=1, master_seed=seed,
     )
-    u, _, vh = svd(matrix)
-    instance = bench.instance_from_truth(
-        scenario, matrix, u[:, :args.rank], vh[:args.rank].T, args.ratio, 0, (args.seed,)
-    )
+    try:
+        instance = bench.instance_from_truth(scenario, matrix, None, None, args.ratio, 0, (seed,))
+    except ValueError as exc:
+        raise ValueError(f"matrix file {args.matrix}: {exc}") from None
     return scenario, instance
 
 
@@ -181,6 +180,8 @@ def _cmd_bench(args):
         for path in (out, args.csv):
             if path:
                 _check_writable(path)
+        if args.csv and os.path.realpath(args.csv) == os.path.realpath(out):
+            raise ValueError(f"--out and --csv both name {out}; give two files")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"subrec bench: {exc}", file=sys.stderr)
         return 1

@@ -297,14 +297,21 @@ def run_on_spare_core(fn, *args):
     return _slab_pool.submit(fn, *args)
 
 
-def angle_vector(angles, count=None):
-    """A vector of ``count`` prior angles (one or more if None) in [0, 90] degrees, or ValueError."""
+def require_int(name, value, lo, hi=None):
+    """``value`` as an int; ValueError unless an integer, not a bool, in [lo, hi] (or >= lo)."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or value < lo or hi is not None and value > hi:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def angle_vector(name, angles, count=None):
+    """The prior angles ``name``: a vector of ``count`` (or one or more) in [0, 90] degrees."""
     angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 1 or count not in (None, angles.size):
-        want = "a vector of" if count is None else count
-        raise ValueError(f"need {want} angles, got shape {angles.shape}")
-    if not angles.size:
-        raise ValueError("need at least one angle")
+    if angles.ndim != 1 or count not in (None, angles.size) or not angles.size:
+        length = ">= 1" if count is None else count
+        raise ValueError(f"{name} must be a vector of length {length}, got shape {angles.shape}")
     if not np.all((angles >= 0.0) & (angles <= 90.0)):
         raise ValueError("prior angles must lie in [0, 90] degrees")
     return angles
@@ -317,9 +324,8 @@ def require_prior_room(n, r):
 
 
 def random_orthonormal(n, r, rng):
-    """Haar-distributed (n, r) frame with orthonormal columns."""
-    if r > n:
-        raise ValueError(f"cannot fit {r} orthonormal columns in dimension {n}")
+    """Haar-distributed (n, r) frame with orthonormal columns, for an integer r in [1, n]."""
+    r = require_int("rank", r, 1, n)
     q, rr = np.linalg.qr(np.random.default_rng(rng).standard_normal((n, r)))
     d = np.diag(rr)
     # Fixing the signs of R's diagonal makes the distribution rotation invariant.
@@ -338,7 +344,7 @@ def perturb_subspace(basis, target_angles_deg, rng):
     """
     basis = orthonormal_basis(basis)
     n, r = basis.shape
-    angles = angle_vector(target_angles_deg, r)
+    angles = angle_vector("target_angles_deg", target_angles_deg, r)
     require_prior_room(n, r)
     frame = _complement_frame(basis, r, np.random.default_rng(rng))
     theta = np.radians(angles)

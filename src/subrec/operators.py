@@ -31,10 +31,11 @@ class MeasurementOperator:
 
     ``seed`` records the seed material the operator was built from, when
     known, so reports can persist (kind, n, p, seed) instead of the payload.
-    Construction checks the kind (``known_kind``) and the payload, raising
-    ValueError: Gaussian ``mats`` of shape (p, n, n), entries unread, or
-    completion ``indices`` of p distinct integer (row, col) pairs in [0, n),
-    which give the flat index ``row * n + col`` (``flat``) and the 0/1 mask.
+    Construction checks the kind (``known_kind``), n >= 1 and p >= 1
+    (``linalg.require_int``) and the payload, raising ValueError: Gaussian
+    ``mats`` of shape (p, n, n), entries unread, or completion ``indices`` of
+    p distinct integer (row, col) pairs in [0, n), which give the flat index
+    ``row * n + col`` (``flat``) and the 0/1 mask.
     """
 
     kind: str
@@ -47,6 +48,7 @@ class MeasurementOperator:
     mask: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        self.n, self.p = linalg.require_int("n", self.n, 1), linalg.require_int("p", self.p, 1)
         if known_kind(self.kind) == GAUSSIAN:
             if np.shape(self.mats) != (self.p, self.n, self.n):
                 raise ValueError(f"Gaussian sensing needs mats of shape {(self.p, self.n, self.n)}")
@@ -111,8 +113,7 @@ def make_gaussian(n, p, rng, out=None):
     E ||A(X)||^2 = ||X||_F^2, so empirical isometry constants are meaningful.
     The tensor fills ``out``, a (p, n, n) float array, when one is given.
     """
-    if p < 1:
-        raise ValueError("need at least one measurement")
+    p = linalg.require_int("p", p, 1)
     seed = None if isinstance(rng, np.random.Generator) else rng
     gen = np.random.default_rng(rng)
     # Scaling standard normals in place gives gen.normal(0, 1/sqrt(p))'s values
@@ -124,8 +125,7 @@ def make_gaussian(n, p, rng, out=None):
 
 def make_completion(n, p, rng):
     """Completion operator: p distinct entries sampled uniformly without replacement."""
-    if not 1 <= p <= n * n:
-        raise ValueError(f"measurement count {p} outside [1, {n * n}]")
+    p = linalg.require_int("p", p, 1, n * n)
     seed = None if isinstance(rng, np.random.Generator) else rng
     gen = np.random.default_rng(rng)
     flat = gen.choice(n * n, size=p, replace=False)

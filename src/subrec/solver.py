@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import dpotrf, dpotrs
+from .linalg import dpotrf, dpotrs, require_int
 from .operators import COMPLETION, WeightedOperator
-from .weighting import WeightOperator, require_int
+from .weighting import WeightOperator
 
 # The stop rule: a residual at most RESIDUAL_TOLERANCE * ||y||, or
 # STAGNATION_RUN flat iterations in a row, each decreasing the residual by
@@ -117,9 +117,7 @@ class SolverConfig:
     weighting: object = None
 
     def __post_init__(self):
-        self.rank = require_int("rank", self.rank)
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        self.rank = require_int("rank", self.rank, 1)
         pair = self.weighting
         if pair is not None and not (
             isinstance(pair, (list, tuple))
@@ -340,9 +338,8 @@ def iterate(operator, y, config):
     iteration cap: each consumer brings its own budget.
     """
     y = operator.measurements(y)
-    n, r = operator.n, config.rank
-    if r > n:
-        raise ValueError(f"rank {r} exceeds matrix dimension {n}")
+    n = operator.n
+    r = require_int("rank", config.rank, 1, n)
 
     weighting = config.weighting
     qu_inv, qv_inv = (None, None) if weighting is None else (q.q_inv for q in weighting)

@@ -34,13 +34,6 @@ def is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def require_int(name, value):
-    """``value`` as an int; ValueError unless it is an integer (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def real_tuple(values, rule):
     """A list or tuple of numbers as floats; ValueError "<rule>, got <values>" for anything else."""
     if not isinstance(values, (list, tuple)) or not all(map(is_real, values)):
@@ -216,7 +209,7 @@ def angles_to_weights(angles_deg, mode):
     collapses to the mean angle. Explicit presets should be preferred when
     available; this map is only a reasonable default.
     """
-    angles = angle_vector(angles_deg)
+    angles = angle_vector("angles_deg", angles_deg)
     if mode == SINGLE:
         mean = float(np.mean(angles))
         return WeightSpec(mode, angle_weight(mean), angle_weight(90.0 - mean))

@@ -114,11 +114,14 @@ def test_bench_command_rejects_a_scenario_file_that_is_not_an_object(
     assert capsys.readouterr().err == f"subrec bench: {message}\n"
 
 
+# A case keeps its test id when its message changes wording: the id names the rule it checks.
 @pytest.mark.parametrize(
     "args, env, message",
     [
-        (["--threads", "0"], None, "threads must be at least 1, got 0"),
-        (["--threads", "-3"], None, "threads must be at least 1, got -3"),
+        pytest.param(["--threads", "0"], None, "threads must be an integer >= 1, got 0",
+                     id="args0-None-threads must be at least 1, got 0"),
+        pytest.param(["--threads", "-3"], None, "threads must be an integer >= 1, got -3",
+                     id="args1-None-threads must be at least 1, got -3"),
     ],
 )
 def test_bench_command_rejects_bad_thread_count(tmp_path, capsys, args, env, message):
@@ -136,10 +139,14 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"n": 0}, "dimension must be positive"),
-        ({"rank": 0}, "rank must lie in [1, 30]"),
+        pytest.param({"n": 0}, "n must be an integer >= 1, got 0",
+                     id="overrides0-dimension must be positive"),
+        pytest.param({"rank": 0}, "rank must be an integer in [1, 30], got 0",
+                     id="overrides1-rank must lie in [1, 30]"),
         ({"rank": 16}, "priors of rank 16 need dimension at least 32, got 30"),
-        ({**NO_PRIORS, "solvers": ["admira"], "rank": 31}, "rank must lie in [1, 30]"),
+        pytest.param({**NO_PRIORS, "solvers": ["admira"], "rank": 31},
+                     "rank must be an integer in [1, 30], got 31",
+                     id="overrides3-rank must lie in [1, 30]"),
         ({"operator_kind": "identity"}, "unknown operator kind 'identity'"),
         ({"sampling_ratios": []}, "need at least one sampling ratio"),
         ({"sampling_ratios": [0.0]}, "sampling ratio 0.0 outside (0, 1]"),
@@ -148,24 +155,34 @@ NO_PRIORS = {"theta_u": None, "theta_v": None}
         ({"noise_level": -1e-3}, "noise level must be finite and nonnegative, got -0.001"),
         ({"noise_level": float("nan")}, "noise level must be finite and nonnegative, got nan"),
         ({"noise_level": float("inf")}, "noise level must be finite and nonnegative, got inf"),
-        ({"trials": 0}, "need at least one trial"),
+        pytest.param({"trials": 0}, "trials must be an integer >= 1, got 0",
+                     id="overrides12-need at least one trial"),
         ({"solvers": ["sdp"]}, "unknown solver 'sdp'"),
         (NO_PRIORS, "rmspi and grmspi need prior angles theta_u and theta_v"),
         ({"theta_u": None}, "theta_u and theta_v must both be set, or both null for no priors"),
-        ({"theta_v": [1.0, 2.0]}, "need 3 angles, got shape (2,)"),
+        pytest.param({"theta_v": [1.0, 2.0]},
+                     "theta_v must be a vector of length 3, got shape (2,)",
+                     id="overrides16-need 3 angles, got shape (2,)"),
         ({"theta_v": [1.0, 2.0, 95.0]}, "prior angles must lie in [0, 90] degrees"),
         ({"grmspi_weights_v": {"mode": "per_direction", "span_weights": [0.2, 0.2],
                                "complement_weights": [0.9, 0.9]}},
          "grmspi_weights_v carries 2 per-direction weights for rank 3"),
         ({"rmspi_weights_u": {"mode": "single", "span_weights": 0.0, "complement_weights": 0.9}},
          "weight 0.0 outside (0, 1]"),
-        ({"n": 30.5}, "n must be an integer, got 30.5"),
-        ({"n": True}, "n must be an integer, got True"),
-        ({"rank": 2.0}, "rank must be an integer, got 2.0"),
-        ({"trials": "5"}, "trials must be an integer, got '5'"),
-        ({"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
-        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
-        ({"master_seed": -1}, "master_seed must be nonnegative, got -1"),
+        pytest.param({"n": 30.5}, "n must be an integer >= 1, got 30.5",
+                     id="overrides20-n must be an integer, got 30.5"),
+        pytest.param({"n": True}, "n must be an integer >= 1, got True",
+                     id="overrides21-n must be an integer, got True"),
+        pytest.param({"rank": 2.0}, "rank must be an integer in [1, 30], got 2.0",
+                     id="overrides22-rank must be an integer, got 2.0"),
+        pytest.param({"trials": "5"}, "trials must be an integer >= 1, got '5'",
+                     id="overrides23-trials must be an integer, got '5'"),
+        pytest.param({"master_seed": "x"}, "master_seed must be an integer >= 0, got 'x'",
+                     id="overrides24-master_seed must be an integer, got 'x'"),
+        pytest.param({"master_seed": 1.5}, "master_seed must be an integer >= 0, got 1.5",
+                     id="overrides25-master_seed must be an integer, got 1.5"),
+        pytest.param({"master_seed": -1}, "master_seed must be an integer >= 0, got -1",
+                     id="overrides26-master_seed must be nonnegative, got -1"),
         ({"sampling_ratios": 0.5}, "sampling_ratios must be a list of numbers, got 0.5"),
         ({"sampling_ratios": ["0.5"]}, "sampling_ratios must be a list of numbers, got ['0.5']"),
         ({"theta_u": 5}, "theta_u must be a list of numbers, got 5"),
@@ -215,7 +232,23 @@ def test_invalid_scenario_field_is_rejected_everywhere(tmp_path, capsys, overrid
 
 def test_bench_command_rejects_invalid_overrides(capsys):
     assert main(["bench", "--preset", "close_close", "--trials", "0"]) == 1
-    assert capsys.readouterr().err == "subrec bench: need at least one trial\n"
+    assert capsys.readouterr().err == "subrec bench: trials must be an integer >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("csv", ["report.json", "./report.json", "sub/../report.json"])
+def test_bench_command_refuses_one_file_for_both_reports(tmp_path, monkeypatch, capsys, csv):
+    # The CSV overwrote the JSON report, and the run still said "report written".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid ran")
+
+    monkeypatch.setattr(bench, "run_grid", no_grid)
+    assert main(["bench", "--preset", "close_close", "--out", "report.json", "--csv", csv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "subrec bench: --out and --csv both name report.json; give two files\n"
+    assert captured.out == "" and not (tmp_path / "report.json").exists()
 
 
 def test_bench_command_runtime_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -286,7 +319,30 @@ def test_recover_from_preset_rejects_out_of_range_ratio(capsys):
 
 def test_recover_rejects_negative_trial(capsys):
     assert main(["recover", "--preset", "close_close", "--trial", "-1"]) == 1
-    assert capsys.readouterr().err == "subrec recover: --trial must be nonnegative, got -1\n"
+    want = "subrec recover: trial_index must be an integer >= 0, got -1\n"
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--kind", "completion"), ("--kind", "gaussian"), ("--seed", "9"), ("--seed", "0"),
+     ("--rank", "2"), ("--theta-u", "10,20"), ("--theta-v", "5,5,5")],
+)
+def test_recover_refuses_matrix_options_without_a_matrix(capsys, option, value):
+    # A preset instance reads none of these; they were ignored, and the line
+    # printed was the default Gaussian one.
+    assert main(["recover", "--ratio", "0.6", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"subrec recover: {option} applies only with --matrix\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option, value", [("--preset", "far_far"), ("--trial", "0")])
+def test_recover_refuses_preset_options_with_a_matrix(tmp_path, capsys, option, value):
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(np.outer(np.arange(1.0, 7.0), np.ones(6)), path)
+    assert main(["recover", "--matrix", str(path), "--rank", "1", option, value]) == 1
+    assert capsys.readouterr().err == f"subrec recover: {option} does not apply with --matrix\n"
 
 
 def test_recover_trial_equals_its_grid_row(monkeypatch, capsys):
@@ -338,13 +394,16 @@ def test_recover_matrix_errors(tmp_path, capsys):
     assert main(["recover", "--matrix", str(tmp_path / "none.csv"), "--rank", "1"]) == 1
     capsys.readouterr()
     rect = tmp_path / "rect.csv"
-    write_matrix_csv(rng.standard_normal((4, 6)), rect)
+    wide = rng.standard_normal((4, 6))
+    write_matrix_csv(wide, rect)
     for args, message in (
-        ([str(rect), "--rank", "1"], "recover expects a square matrix"),
-        ([str(path), "--rank", "0"], "rank must lie in [1, 6]"),
+        ([str(rect), "--rank", "1"], f"matrix file {rect}: truth must be a nonzero 6 x 6 matrix, "
+                                     f"got shape (4, 6) and norm {np.linalg.norm(wide):g}"),
+        ([str(path), "--rank", "0"], "rank must be an integer in [1, 6], got 0"),
         ([str(path), "--rank", "4"], "priors of rank 4 need dimension at least 8, got 6"),
         ([str(path), "--rank", "1", "--theta-u", "95"], "prior angles must lie in [0, 90] degrees"),
-        ([str(path), "--rank", "1", "--theta-v", "3,4"], "need 1 angles, got shape (2,)"),
+        ([str(path), "--rank", "1", "--theta-v", "3,4"],
+         "theta_v must be a vector of length 1, got shape (2,)"),
         ([str(path), "--rank", "1", "--ratio", "0.01"],
          "sampling ratio 0.01 gives no measurements at n = 6"),
         ([str(path), "--rank", "1", "--kind", "completion", "--ratio", "1.5"],
@@ -363,7 +422,7 @@ def test_recover_matrix_non_finite_entry(tmp_path, capsys, bad):
     write_matrix_csv(matrix, path)
     assert main(["recover", "--matrix", str(path), "--rank", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("subrec recover: ") and "NaN or Inf" in err
+    assert err == f"subrec recover: matrix file {path}: array must not contain infs or NaNs\n"
 
 
 def test_recover_matrix_all_zeros_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
@@ -376,7 +435,8 @@ def test_recover_matrix_all_zeros_is_rejected_before_any_work(tmp_path, capsys, 
     monkeypatch.setattr(bench, "run_trial", no_trial)
     assert main(["recover", "--matrix", str(path), "--rank", "1"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"subrec recover: matrix file {path} is all zeros\n"
+    want = f"matrix file {path}: truth must be a nonzero 4 x 4 matrix, got shape (4, 4) and norm 0"
+    assert captured.err == f"subrec recover: {want}\n"
     assert captured.out == ""
 
 
@@ -410,9 +470,12 @@ def test_rip_command_rejects_identity_kind(capsys):
         (["--n", "10", "--ratios", "0.001"], "sampling ratio 0.001 gives no measurements at n = 10"),
         (["--ratios", "1.5"], "sampling ratio 1.5 outside (0, 1]"),
         (["--n", "4"], "priors of rank 3 need dimension at least 6, got 4"),
-        (["--samples", "0"], "need at least one sample"),
-        (["--ranks", "0"], "sample rank 0 outside [1, 30]"),
-        (["--ranks", "3,31"], "sample rank 31 outside [1, 30]"),
+        pytest.param(["--samples", "0"], "samples must be an integer >= 1, got 0",
+                     id="args4-need at least one sample"),
+        pytest.param(["--ranks", "0"], "sample rank must be an integer in [1, 30], got 0",
+                     id="args5-sample rank 0 outside [1, 30]"),
+        pytest.param(["--ranks", "3,31"], "sample rank must be an integer in [1, 30], got 31",
+                     id="args6-sample rank 31 outside [1, 30]"),
     ],
 )
 def test_rip_command_configuration_errors(capsys, args, message):

@@ -3,9 +3,9 @@
 The prior-angle range, count and shape, the room for priors (n >= 2r), the
 per-direction weight count, the solver table and the mode of each solver's
 weight spec, the weighting modes, a solve's weighting pair, the operator
-kinds, the integer fields and the orthonormal bases are each checked in one
-place, so every path that applies a rule raises that place's message: the
-library function, the Scenario, and the command line.
+kinds, the bounded integers, a trial's truth and the orthonormal bases are
+each checked in one place, so every path that applies a rule raises that
+place's message: the library function, the Scenario, and the command line.
 """
 
 import argparse
@@ -25,10 +25,18 @@ from subrec.linalg import (
     perturb_subspace,
     principal_angles,
     random_orthonormal,
+    require_int,
     require_prior_room,
 )
-from subrec.operators import OPERATOR_KINDS, MeasurementOperator, known_kind
-from subrec.solver import SolverConfig
+from subrec.operators import (
+    GAUSSIAN,
+    OPERATOR_KINDS,
+    MeasurementOperator,
+    known_kind,
+    make_completion,
+    make_gaussian,
+)
+from subrec.solver import SolverConfig, solve
 from subrec.weighting import (
     PER_DIRECTION,
     SINGLE,
@@ -51,7 +59,7 @@ def _message(fn, *args, **kwargs):
 def _bench_file_message(tmp_path, capsys, **overrides):
     """The error `subrec bench FILE` prints for close_close with ``overrides``."""
     cfg = dataclasses.asdict(bench.builtin_presets()["close_close"])
-    cfg.update(sampling_ratios=[0.8], trials=1, **overrides)
+    cfg.update({"sampling_ratios": [0.8], "trials": 1, **overrides})
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"
@@ -104,22 +112,28 @@ def _matrix_file(tmp_path, n):
 def test_prior_angle_count_has_one_message_per_path(tmp_path, capsys):
     # angle_vector owns the count; the Scenario keeps only the rule that
     # both thetas are set or both null.
+    # Each message names the field, as the Scenario's and the options' do.
     rng = np.random.default_rng(0)
     short = [2.0, 3.0]
-    want = "need 3 angles, got shape (2,)"
-    assert _message(angle_vector, short, 3) == want
-    assert _message(perturb_subspace, random_orthonormal(10, 3, rng), short, rng) == want
+    got = _message(angle_vector, "theta", short, 3)
+    assert got == "theta must be a vector of length 3, got shape (2,)"
+    got = _message(perturb_subspace, random_orthonormal(10, 3, rng), short, rng)
+    assert got == "target_angles_deg must be a vector of length 3, got shape (2,)"
     for mode in (SINGLE, PER_DIRECTION):
-        assert _message(angles_to_weights, [], mode) == "need at least one angle"
-    assert _message(angle_vector, []) == "need at least one angle"
+        got = _message(angles_to_weights, [], mode)
+        assert got == "angles_deg must be a vector of length >= 1, got shape (0,)"
+    got = _message(angle_vector, "theta", [])
+    assert got == "theta must be a vector of length >= 1, got shape (0,)"
     for key in ("theta_u", "theta_v"):
+        want = f"{key} must be a vector of length 3, got shape (2,)"
         assert _scenario_paths(key, tuple(short)) == want
         assert _bench_file_message(tmp_path, capsys, **{key: short}) == want
         assert _scenario_paths(key, None) == BOTH_OR_NULL
     matrix = _matrix_file(tmp_path, 6)
-    for option in ("--theta-u", "--theta-v"):
+    for key in ("theta_u", "theta_v"):
+        option = "--" + key.replace("_", "-")
         got = _cli_message(capsys, "recover", "--matrix", matrix, "--rank", "1", option, "3,4")
-        assert got == "need 1 angles, got shape (2,)"
+        assert got == f"{key} must be a vector of length 1, got shape (2,)"
 
 
 def test_prior_room_has_one_message_per_path(tmp_path, capsys):
@@ -145,7 +159,7 @@ def test_prior_room_has_one_message_per_path(tmp_path, capsys):
     assert _bench_file_message(tmp_path, capsys, rank=16) == room
     # Without priors the Scenario's own rule, 1 <= rank <= n, is all that applies.
     Scenario(rank=16, theta_u=None, theta_v=None, solvers=("admira",))
-    assert _scenario_paths("rank", 0) == "rank must lie in [1, 30]"
+    assert _scenario_paths("rank", 0) == "rank must be an integer in [1, 30], got 0"
     matrix = _matrix_file(tmp_path, 6)
     got = _cli_message(capsys, "recover", "--matrix", matrix, "--rank", "4")
     assert got == "priors of rank 4 need dimension at least 8, got 6"
@@ -192,10 +206,10 @@ def test_solve_weighting_must_be_a_pair_of_weight_operators():
 
 
 def test_angle_vector_keeps_the_bounds_and_the_values():
-    angles = angle_vector((0, 45.5, 90), 3)
+    angles = angle_vector("theta", (0, 45.5, 90), 3)
     assert angles.dtype == float and angles.tolist() == [0.0, 45.5, 90.0]
     for bad in (np.inf, -np.inf, np.nextafter(90.0, 91.0), -0.0 - 1e-300):
-        assert _message(angle_vector, [bad]) == RANGE
+        assert _message(angle_vector, "theta", [bad]) == RANGE
 
 
 @pytest.mark.parametrize("bad", [None, 5.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["none", "scalar", "2d"])
@@ -204,9 +218,11 @@ def test_prior_angles_without_a_count_must_be_a_vector(tmp_path, capsys, bad):
     # lists of numbers first, so there the field's own rule speaks.
     shape = np.shape(np.asarray(bad, dtype=float))
     for mode in (SINGLE, PER_DIRECTION):
-        assert _message(angles_to_weights, bad, mode) == f"need a vector of angles, got shape {shape}"
+        got = _message(angles_to_weights, bad, mode)
+        assert got == f"angles_deg must be a vector of length >= 1, got shape {shape}"
     basis = random_orthonormal(10, 2, np.random.default_rng(0))
-    assert _message(perturb_subspace, basis, bad, 0) == f"need 2 angles, got shape {shape}"
+    got = _message(perturb_subspace, basis, bad, 0)
+    assert got == f"target_angles_deg must be a vector of length 2, got shape {shape}"
     if bad is None:
         # A null theta_v beside a set theta_u breaks the both-or-null rule.
         assert _message(Scenario, theta_v=bad) == BOTH_OR_NULL
@@ -293,15 +309,157 @@ def test_unknown_operator_kind_has_one_message(tmp_path, capsys):
     "bad", [2.5, np.float64(2.0), True, "2"], ids=["float", "np-float", "bool", "str"]
 )
 def test_integer_fields_have_one_message(tmp_path, capsys, bad):
-    # weighting.require_int owns the rule. A SolverConfig that skipped it
+    # linalg.require_int owns the rule. A SolverConfig that skipped it
     # took rank 2.5 and np.float64(2.0), whose solve then failed inside the
     # loop with "slice indices must be integers", and ran rank True as 1.
-    want = f"rank must be an integer, got {bad!r}"
-    assert _message(SolverConfig, rank=bad) == want
+    assert _message(SolverConfig, rank=bad) == f"rank must be an integer >= 1, got {bad!r}"
+    want = f"rank must be an integer in [1, 30], got {bad!r}"
     assert _message(Scenario, rank=bad) == want
-    assert _message(bench.resolve_threads, bad) == f"threads must be an integer, got {bad!r}"
+    assert _message(bench.resolve_threads, bad) == f"threads must be an integer >= 1, got {bad!r}"
     if not isinstance(bad, np.generic):
         assert _bench_file_message(tmp_path, capsys, rank=bad) == want
+
+
+def test_require_int_takes_inclusive_bounds():
+    for value, lo, hi in ((1, 1, 3), (3, 1, 3), (np.int64(0), 0, None), (10**20, 0, None)):
+        got = require_int("k", value, lo, hi)
+        assert got == value and type(got) is int
+    assert _message(require_int, "k", 4, 1, 3) == "k must be an integer in [1, 3], got 4"
+    assert _message(require_int, "k", 0, 1, 3) == "k must be an integer in [1, 3], got 0"
+    assert _message(require_int, "k", -1, 0) == "k must be an integer >= 0, got -1"
+    got = _message(require_int, "k", np.bool_(True), 0)
+    assert got == f"k must be an integer >= 0, got {np.bool_(True)!r}"
+
+
+def test_rank_bound_has_one_message_per_path(tmp_path, capsys):
+    # rank in [1, n] had five messages: the Scenario's "rank must lie in
+    # [1, 30]", SolverConfig's "rank must be at least 1", the loop's "rank 31
+    # exceeds matrix dimension 30", random_orthonormal's "cannot fit 4
+    # orthonormal columns in dimension 3" (which took rank 0) and rip_survey's
+    # "sample rank 0 outside [1, 30]" (which took rank 2.5).
+    want = "rank must be an integer in [1, 30], got 31"
+    assert _scenario_paths("rank", 31) == want
+    no_priors = {"theta_u": None, "theta_v": None, "solvers": ["admira"]}
+    assert _message(Scenario, rank=31, **no_priors) == want
+    assert _bench_file_message(tmp_path, capsys, rank=31, **no_priors) == want
+    assert _message(random_orthonormal, 30, 31, 0) == want
+    assert _message(random_orthonormal, 3, 0, 0) == "rank must be an integer in [1, 3], got 0"
+    op = make_gaussian(6, 12, 0)
+    got = _message(solve, op, np.ones(12), SolverConfig(rank=7))
+    assert got == "rank must be an integer in [1, 6], got 7"
+    assert _message(SolverConfig, rank=0) == "rank must be an integer >= 1, got 0"
+    matrix = _matrix_file(tmp_path, 6)
+    got = _cli_message(capsys, "recover", "--matrix", matrix, "--rank", "7")
+    assert got == "rank must be an integer in [1, 6], got 7"
+    preset = bench.builtin_presets()["close_close"]
+    for rank in (0, 31, 2.5):
+        want = f"sample rank must be an integer in [1, 30], got {rank!r}"
+        assert _message(bench.rip_survey, preset, [1, rank], 3) == want
+    got = _cli_message(capsys, "rip", "--ranks", "1,31", "--samples", "3")
+    assert got == "sample rank must be an integer in [1, 30], got 31"
+
+
+@pytest.mark.parametrize(
+    "key, value, want, options",
+    [
+        ("n", 0, "n must be an integer >= 1, got 0", [("rip", "--n")]),
+        ("trials", 0, "trials must be an integer >= 1, got 0", [("bench", "--trials")]),
+        ("master_seed", -1, "master_seed must be an integer >= 0, got -1",
+         [("bench", "--seed"), ("rip", "--seed")]),
+    ],
+    ids=["n", "trials", "master_seed"],
+)
+def test_scenario_integer_bounds_have_one_message_per_path(tmp_path, capsys, key, value, want,
+                                                           options):
+    assert _scenario_paths(key, value) == want
+    assert _bench_file_message(tmp_path, capsys, **{key: value}) == want
+    for command, option in options:
+        args = ["--preset", "close_close"] if command == "bench" else ["--ranks", "1"]
+        assert _cli_message(capsys, command, *args, option, str(value)) == want
+
+
+def test_pool_size_bound_has_one_message_per_path(tmp_path, capsys):
+    want = "threads must be an integer >= 1, got 0"
+    assert _message(bench.resolve_threads, 0) == want
+    assert _message(bench.run_grid, bench.builtin_presets()["close_close"], threads=0) == want
+    out = tmp_path / "report.json"
+    assert _cli_message(capsys, "bench", "--preset", "close_close", "--threads", "0",
+                        "--out", str(out)) == want
+    assert not out.exists()
+
+
+def test_trial_index_must_be_an_integer_of_at_least_zero(capsys):
+    # The cell's seed key took int(trial_index): trial 1.5 drew trial 1's
+    # truth and operator and reported its row as trial 1.5, and trial -1
+    # failed inside numpy's seeding.
+    preset = bench.builtin_presets()["close_close"]
+    for bad in (1.5, -1, True):
+        want = f"trial_index must be an integer >= 0, got {bad!r}"
+        assert _message(bench.generate_instance, preset, 0.6, bad) == want
+    got = _cli_message(capsys, "recover", "--trial", "-1")
+    assert got == "trial_index must be an integer >= 0, got -1"
+
+
+def test_measurement_count_bounds_have_one_message_per_path():
+    # A Gaussian operator of p = 0 was accepted when built directly.
+    want = "p must be an integer >= 1, got 0"
+    assert _message(MeasurementOperator, GAUSSIAN, 5, 0, mats=np.zeros((0, 5, 5))) == want
+    assert _message(make_gaussian, 5, 0, 0) == want
+    assert _message(bench.make_operator, "gaussian", 5, 0, 0) == want
+    got = _message(MeasurementOperator, GAUSSIAN, 0, 1, mats=np.zeros((1, 0, 0)))
+    assert got == "n must be an integer >= 1, got 0"
+    for p in (0, 10, 2.0):
+        want = f"p must be an integer in [1, 9], got {p!r}"
+        assert _message(make_completion, 3, p, 0) == want
+        assert _message(bench.make_operator, "completion", 3, p, 0) == want
+
+
+def test_survey_sample_count_has_one_message_per_path(capsys):
+    # rip_survey(samples=2.5) raised a TypeError from range().
+    preset = bench.builtin_presets()["close_close"]
+    for samples in (0, 2.5):
+        want = f"samples must be an integer >= 1, got {samples!r}"
+        assert _message(bench.rip_survey, preset, [1], samples) == want
+    got = _cli_message(capsys, "rip", "--ranks", "1", "--samples", "0")
+    assert got == "samples must be an integer >= 1, got 0"
+
+
+def _truth_message(scenario, truth):
+    return _message(bench.instance_from_truth, scenario, truth, None, None, 0.6, 0, (0,))
+
+
+def test_truth_rule_has_one_message_per_path(tmp_path, capsys):
+    # bench.instance_from_truth owns the rule, before any sensing or SVD. A
+    # zero truth was sensed, and the row's SNR then raised "reference matrix
+    # is zero" outside run_trial's guard, which aborted run_grid.
+    scenario = Scenario(n=6, rank=1, theta_u=(5.0,), theta_v=(5.0,), solvers=("admira",))
+    good = np.outer(np.arange(1.0, 7.0), np.ones(6))
+    inst = bench.instance_from_truth(scenario, good, None, None, 0.6, 0, (0,))
+    assert np.array_equal(inst.truth, good) and inst.truth_u.shape == (6, 1)
+    zero = "truth must be a nonzero 6 x 6 matrix, got shape (6, 6) and norm 0"
+    wide = np.ones((4, 6))
+    assert _truth_message(scenario, np.zeros((6, 6))) == zero
+    assert _truth_message(scenario, wide) == (
+        "truth must be a nonzero 6 x 6 matrix, got shape (4, 6) and norm 4.89898"
+    )
+    assert _truth_message(scenario, np.ones(36)) == "expected a 2-d array, got shape (36,)"
+    nan = good.copy()
+    nan[2, 3] = np.nan
+    assert _truth_message(scenario, nan) == "array must not contain infs or NaNs"
+
+    for matrix, want in (
+        (np.zeros((6, 6)), zero),
+        (wide, "truth must be a nonzero 6 x 6 matrix, got shape (4, 6) and norm 4.89898"),
+        (wide.T, "truth must be a nonzero 6 x 6 matrix, got shape (6, 4) and norm 4.89898"),
+        (np.ones((1, 6)),
+         "truth must be a nonzero 6 x 6 matrix, got shape (1, 6) and norm 2.44949"),
+        (nan, "array must not contain infs or NaNs"),
+    ):
+        path = tmp_path / "matrix.csv"
+        rows, cols = matrix.shape
+        np.savetxt(path, matrix, delimiter=",", header=f"{rows},{cols}", comments="")
+        got = _cli_message(capsys, "recover", "--matrix", str(path), "--rank", "1")
+        assert got == f"matrix file {path}: {want}"
 
 
 def test_solver_config_stores_a_numpy_integer_rank_as_an_int():
@@ -347,9 +505,10 @@ def test_cli_choices_read_the_tables():
 @pytest.mark.parametrize(
     "message",
     ["must lie in [0, 90] degrees", "unknown solver", "unknown weighting mode",
-     "unknown operator kind", "weight spec, got", "angles, got shape", "must be an integer, got",
-     "columns are not orthonormal", "need dimension at least", "per-direction weights for rank",
-     "must both be set, or both null", "pair of WeightOperator, got"],
+     "unknown operator kind", "weight spec, got", "must be a vector of length",
+     "must be an integer {bound}, got", "truth must be a nonzero", "columns are not orthonormal",
+     "need dimension at least", "per-direction weights for rank", "must both be set, or both null",
+     "pair of WeightOperator, got"],
 )
 def test_each_setup_rule_is_written_once(message):
     sites = [

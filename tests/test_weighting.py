@@ -244,7 +244,8 @@ def test_angle_weight_map_values():
 def test_angles_to_weights_needs_an_angle(mode):
     # Single mode took the mean of no angles: two RuntimeWarnings, then a NaN weight.
     for empty in ([], (), np.zeros(0)):
-        with pytest.raises(ValueError, match="need at least one angle"):
+        want = r"^angles_deg must be a vector of length >= 1, got shape \(0,\)$"
+        with pytest.raises(ValueError, match=want):
             angles_to_weights(empty, mode)
 
 
